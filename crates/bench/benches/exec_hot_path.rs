@@ -31,7 +31,7 @@
 
 use dcf_bench::microbench::Bench;
 use dcf_device::{
-    Device, DeviceCollector, DeviceId, DeviceProfile, StepStatsCollector, TraceLevel, Tracer,
+    Device, DeviceCollector, DeviceId, DeviceProfile, StepStatsCollector, TraceLevel,
 };
 use dcf_exec::{
     ExecGraph, Executor, ExecutorOptions, InMemoryRendezvous, ResourceManager, RunConfig,
@@ -48,7 +48,7 @@ use std::thread;
 fn executor_for(b: GraphBuilder, workers: usize) -> Executor {
     let graph = Arc::new(b.finish().expect("graph should validate"));
     let eg = ExecGraph::local(graph);
-    let device = Device::new(DeviceId(0), 0, DeviceProfile::cpu(), Tracer::new());
+    let device = Device::new(DeviceId(0), 0, DeviceProfile::cpu());
     Executor::new(
         eg,
         device,

@@ -20,7 +20,7 @@
 
 use crate::microbench::Bench;
 use crate::Report;
-use dcf_device::{Device, DeviceId, DeviceProfile, Kernel, StreamKind, Tracer};
+use dcf_device::{Device, DeviceId, DeviceProfile, Kernel, StreamKind};
 use dcf_graph::{GraphBuilder, WhileOptions};
 use dcf_runtime::{RunOptions, Session};
 use std::collections::HashMap;
@@ -54,8 +54,7 @@ fn one_kernel(device: &Device, cancel: Option<Arc<AtomicBool>>) {
 
 /// Runs the abort-latency comparison and returns the report.
 pub fn run(samples: usize) -> Report {
-    let device =
-        Device::new(DeviceId(0), 0, DeviceProfile::gpu_k40().with_time_scale(1.0), Tracer::new());
+    let device = Device::new(DeviceId(0), 0, DeviceProfile::gpu_k40().with_time_scale(1.0));
 
     let mut bench = Bench::new().warmup(1).sample_size(samples);
     bench.case("stream/sleepout (pre-PR behavior)", || one_kernel(&device, None));

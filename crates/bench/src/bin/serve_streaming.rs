@@ -3,8 +3,8 @@
 //! Usage: `cargo run --release -p dcf-bench --bin serve_streaming [--quick | --smoke]`
 //!
 //! N closed-loop clients decode variable-length sequences through the
-//! stateful LSTM decode step; the sweep contrasts the `dcf-serve`
-//! `ContinuousBatcher` (streams join/retire between iterations) against
+//! stateful LSTM decode step; the sweep contrasts `dcf-serve`'s
+//! continuous batching (streams join/retire between iterations) against
 //! gang-decoding stop-the-world cohorts, merging the cases into
 //! `BENCH_serve.json` at the repo root.
 //!

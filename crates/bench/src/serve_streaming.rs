@@ -1,6 +1,6 @@
 //! Continuous batching vs. stop-the-world re-batching on streaming decode.
 //!
-//! The streaming question the `ContinuousBatcher` exists to answer: N
+//! The streaming question continuous batching exists to answer: N
 //! closed-loop clients each decode variable-length sequences through a
 //! stateful LSTM step (hidden state lives in per-stream slots on the
 //! server). Two ways to share the step across clients:
@@ -376,7 +376,7 @@ pub fn run(
          simulated accelerator with row-proportional slept kernel costs (dead cohort rows \
          cost modeled time); stream lengths 3..=20 steps (deterministic per index, mean \
          ~11.5); closed-loop clients; continuous = ModelHandle::open_stream through the \
-         ContinuousBatcher, stop-the-world = gang-decode cohorts of `clients` streams \
+         stream batcher, stop-the-world = gang-decode cohorts of `clients` streams \
          for max(len) lockstep iterations; both modes checked bit-identical against \
          a batch-1 reference decode"
     ));

@@ -2,7 +2,7 @@
 //! resources, memory accounting, and the parallel-iterations knob.
 
 use crate::{ExecGraph, Executor, ExecutorOptions, InMemoryRendezvous, ResourceManager};
-use dcf_device::{Device, DeviceId, DeviceProfile, Tracer};
+use dcf_device::{Device, DeviceId, DeviceProfile};
 use dcf_graph::{GraphBuilder, TensorRef, WhileOptions};
 use dcf_tensor::{DType, Tensor};
 use std::collections::HashMap;
@@ -15,7 +15,7 @@ fn run_graph(
 ) -> crate::Result<Vec<Tensor>> {
     let graph = Arc::new(b.finish().expect("graph should validate"));
     let eg = ExecGraph::local(graph);
-    let device = Device::new(DeviceId(0), 0, DeviceProfile::cpu(), Tracer::new());
+    let device = Device::new(DeviceId(0), 0, DeviceProfile::cpu());
     let exec = Executor::new(
         eg,
         device,
@@ -292,7 +292,7 @@ fn variables_accumulate_across_runs() {
     let upd = b.assign_add(w, one).unwrap();
     let graph = Arc::new(b.finish().unwrap());
     let eg = ExecGraph::local(graph);
-    let device = Device::new(DeviceId(0), 0, DeviceProfile::cpu(), Tracer::new());
+    let device = Device::new(DeviceId(0), 0, DeviceProfile::cpu());
     let resources = ResourceManager::new();
     let exec = Executor::new(
         eg,
@@ -468,7 +468,7 @@ fn gpu_memory_accounting_and_oom() {
         .unwrap();
     let graph = Arc::new(b.finish().unwrap());
     let eg = ExecGraph::local(graph);
-    let device = Device::new(DeviceId(0), 0, profile, Tracer::new());
+    let device = Device::new(DeviceId(0), 0, profile);
     let exec = Executor::new(
         eg,
         device,
@@ -489,7 +489,7 @@ fn gpu_compute_succeeds_with_enough_memory() {
     let s = b.reduce_sum(y).unwrap();
     let graph = Arc::new(b.finish().unwrap());
     let eg = ExecGraph::local(graph);
-    let device = Device::new(DeviceId(0), 0, profile, Tracer::new());
+    let device = Device::new(DeviceId(0), 0, profile);
     let exec = Executor::new(
         eg,
         device.clone(),
@@ -576,7 +576,7 @@ fn forwarding_ops_share_memory_charges() {
     let s = b.reduce_sum(outs[0]).unwrap();
     let graph = Arc::new(b.finish().unwrap());
     let eg = ExecGraph::local(graph);
-    let device = Device::new(DeviceId(0), 0, profile, Tracer::new());
+    let device = Device::new(DeviceId(0), 0, profile);
     let exec = Executor::new(
         eg,
         device.clone(),

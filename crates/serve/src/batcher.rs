@@ -1,14 +1,19 @@
-//! The dynamic batcher: coalesces concurrent client requests into one
-//! batched `Session::run` and scatters the results back.
+//! The per-replica batcher: one worker thread that coalesces queued work
+//! into batched `Session::run` steps and scatters the results back.
 //!
-//! One batcher per served model. Clients enqueue ([`Batcher::submit`])
-//! validated feed tensors; a dedicated batcher thread assembles batches
-//! along the leading axis under the model's [`BatchPolicy`] — dispatching
-//! when `max_batch_size` rows are queued or the oldest request has waited
-//! `max_queue_delay` — issues **one** tagged step with the concatenated
-//! feeds, and splits each fetched tensor back into per-request slices.
+//! A batcher queues one of two kinds of work, fixed when it is built:
+//! stateless **requests** ([`Batcher::submit`]), taken whole along the
+//! leading axis under the model's [`BatchPolicy`] — dispatching when
+//! `max_batch_size` rows are queued or the oldest request has waited
+//! `max_queue_delay` — or sticky **streams** ([`crate::stream`]), one row
+//! per live stream per decode iteration. The queue lock, the
+//! linger-and-dispatch loop, the step runner (`concat0` per feed, one
+//! tagged `Session::run`, the metrics bookkeeping, `split0` per fetch) and
+//! the shutdown path are shared. Which rows a step takes, how results are
+//! delivered and what a failed step does sit behind the `Queue` and
+//! `Members` enums.
 //!
-//! Admission control is structural rather than advisory:
+//! Admission control for requests is structural rather than advisory:
 //!
 //! * the queue is bounded in **rows** (`queue_capacity`); a full queue
 //!   rejects immediately with [`ExecError::Overloaded`] instead of
@@ -20,14 +25,21 @@
 //!   each lane stays FIFO so bulk traffic is delayed, never starved.
 //!
 //! A failed batched step (timeout, injected fault past its retry budget,
-//! cancellation) fails exactly the requests in that batch; the batcher
-//! thread survives and keeps serving subsequent batches.
+//! cancellation) fails exactly the requests in that batch; the worker
+//! survives and keeps serving subsequent batches.
+//!
+//! Dropping the batcher **drains**: nothing new is admitted, every
+//! accepted request or stream row is served, then the worker exits.
+//! Retiring it (the replica router's eviction and scale-down) fails
+//! whatever is still queued instead.
 
 use crate::metrics::ServeMetrics;
 use crate::oneshot;
 use crate::signature::ModelSignature;
+use crate::stream::{StreamQueue, StreamSpec};
 use crate::Result;
 use dcf_exec::ExecError;
+use dcf_graph::TensorRef;
 use dcf_runtime::{RunOptions, Session};
 use dcf_sync::{Condvar, Mutex};
 use dcf_tensor::Tensor;
@@ -36,9 +48,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Error text of the [`ExecError::Cancelled`] a batcher uses to drain its
-/// queue at shutdown. The replica router retries exactly this rejection:
-/// it means "this replica went away", not "your request failed".
+/// Error text of the [`ExecError::Cancelled`] a batcher answers once it is
+/// shutting down. The replica router retries exactly this rejection: it
+/// means "this replica went away", not "your request failed".
 pub(crate) const SHUTDOWN_MSG: &str = "batcher shut down";
 
 /// Which lane a request queues in.
@@ -167,7 +179,7 @@ impl Ticket {
 }
 
 /// A queued request awaiting batch assembly.
-struct Pending {
+pub(crate) struct Pending {
     feeds: HashMap<String, Tensor>,
     rows: usize,
     enqueued: Instant,
@@ -175,33 +187,76 @@ struct Pending {
     tx: oneshot::Sender<Result<Response>>,
 }
 
+/// The request queue: two FIFO lanes bounded in rows.
 #[derive(Default)]
-struct QueueState {
+pub(crate) struct QueueState {
     interactive: VecDeque<Pending>,
     batch: VecDeque<Pending>,
     queued_rows: usize,
-    shutdown: bool,
 }
 
 impl QueueState {
-    fn is_empty(&self) -> bool {
-        self.interactive.is_empty() && self.batch.is_empty()
-    }
-
     /// Earliest enqueue instant across both lanes.
     fn oldest(&self) -> Option<Instant> {
-        let a = self.interactive.front().map(|p| p.enqueued);
-        let b = self.batch.front().map(|p| p.enqueued);
-        match (a, b) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (x, None) => x,
-            (None, y) => y,
-        }
+        [self.interactive.front(), self.batch.front()]
+            .into_iter()
+            .flatten()
+            .map(|p| p.enqueued)
+            .min()
     }
 
     /// Earliest request deadline across both lanes (for prompt expiry).
     fn earliest_deadline(&self) -> Option<Instant> {
         self.interactive.iter().chain(self.batch.iter()).filter_map(|p| p.deadline).min()
+    }
+
+    /// Requests linger until the row cap is reached or the oldest has
+    /// waited `max_queue_delay`.
+    fn readiness(&self, policy: &BatchPolicy) -> Readiness {
+        let oldest = self.oldest();
+        Readiness {
+            ready: oldest.is_some(),
+            urgent: self.queued_rows >= policy.max_batch_size,
+            linger_until: oldest.map(|o| o + policy.max_queue_delay),
+            deadline: self.earliest_deadline(),
+        }
+    }
+
+    /// Assembles one batch of whole requests (see [`assemble`]); `None`
+    /// when everything queued had expired.
+    fn take(&mut self, now: Instant, b: &Shared) -> Option<Taken> {
+        let mut batch = assemble(self, b.policy.max_batch_size, now, &b.metrics);
+        if batch.is_empty() {
+            return None;
+        }
+        let rows: Vec<usize> = batch.iter().map(|p| p.rows).collect();
+        let m = &b.metrics;
+        m.batches.fetch_add(1, Ordering::Relaxed);
+        m.batched_rows.fetch_add(rows.iter().sum::<usize>() as u64, Ordering::Relaxed);
+        for p in &batch {
+            m.record_queue_delay_us(now.saturating_duration_since(p.enqueued).as_micros() as u64);
+        }
+        let parts = b
+            .signature
+            .feeds
+            .iter()
+            .map(|spec| {
+                batch
+                    .iter_mut()
+                    .map(|p| p.feeds.remove(&spec.name).expect("validated at enqueue"))
+                    .collect()
+            })
+            .collect();
+        Some(Taken { parts, rows, members: Members::Requests { batch, assembled: now } })
+    }
+
+    /// Fails every queued request with the shutdown rejection.
+    fn fail_all(&mut self, metrics: &ServeMetrics) {
+        for p in self.interactive.drain(..).chain(self.batch.drain(..)) {
+            p.tx.send(Err(ExecError::Cancelled(SHUTDOWN_MSG.into())));
+        }
+        self.queued_rows = 0;
+        metrics.queued_rows.store(0, Ordering::Relaxed);
     }
 }
 
@@ -213,6 +268,9 @@ impl QueueState {
 /// behind a blocked front must not keep holding `queued_rows` (it would
 /// surface as spurious `Overloaded` rejections) or keep its past-due
 /// deadline as the batcher's wake-up target (a busy-spin).
+///
+/// Taken requests leave `state.queued_rows`; the caller moves them from
+/// the `queued_rows` gauge to `running_rows` under the same lock.
 ///
 /// Free function so the lane/expiry/row-cap policy is unit-testable
 /// without a live session or batcher thread.
@@ -252,7 +310,6 @@ fn assemble(
                 debug_assert_eq!(idx, 0);
                 let p = lane.remove(idx).expect("index in bounds");
                 state.queued_rows -= p.rows;
-                metrics.queued_rows.fetch_sub(p.rows as u64, Ordering::Relaxed);
                 rows += p.rows;
                 out.push(p);
                 continue;
@@ -264,32 +321,196 @@ fn assemble(
     out
 }
 
-/// The per-model dynamic batcher. Dropping it drains the queue (pending
-/// requests complete with [`ExecError::Cancelled`]) and joins the thread.
-pub struct Batcher {
-    shared: Arc<Shared>,
-    thread: Option<std::thread::JoinHandle<()>>,
+/// Worker lifecycle, shared by both queue kinds.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Mode {
+    Running,
+    /// The batcher was dropped: admit nothing new, serve everything
+    /// accepted without lingering, then exit.
+    Draining,
+    /// The replica was retired: fail everything still queued and exit.
+    Closed,
 }
 
-struct Shared {
-    name: String,
-    session: Arc<Session>,
-    signature: ModelSignature,
-    policy: BatchPolicy,
-    metrics: Arc<ServeMetrics>,
-    batch_seq: AtomicU64,
-    state: Mutex<QueueState>,
-    cv: Condvar,
+/// What the worker's linger loop reads off a queue between steps.
+pub(crate) struct Readiness {
+    /// Rows could be taken now.
+    pub(crate) ready: bool,
+    /// Take them without lingering: the row cap is reached, or a stream
+    /// is part-way through a chunk.
+    pub(crate) urgent: bool,
+    /// When lingering for co-batchable rows ends.
+    pub(crate) linger_until: Option<Instant>,
+    /// Earliest deadline the worker must wake up to expire.
+    pub(crate) deadline: Option<Instant>,
+}
+
+/// The two kinds of work a batcher queues — one type over two kinds, so
+/// the worker loop never asks which one it serves.
+pub(crate) enum Queue {
+    Requests(QueueState),
+    Streams(StreamQueue),
+}
+
+impl Queue {
+    /// Streams first sweep expired and drained streams.
+    fn readiness(&mut self, now: Instant, b: &Shared) -> Readiness {
+        match self {
+            Queue::Requests(q) => q.readiness(&b.policy),
+            Queue::Streams(q) => {
+                q.sweep(now, b);
+                q.readiness()
+            }
+        }
+    }
+
+    fn take(&mut self, now: Instant, b: &Shared) -> Option<Taken> {
+        match self {
+            Queue::Requests(q) => q.take(now, b),
+            Queue::Streams(q) => q.take(now, b),
+        }
+    }
+
+    fn fail_all(&mut self, b: &Shared) {
+        match self {
+            Queue::Requests(q) => q.fail_all(&b.metrics),
+            Queue::Streams(q) => q.fail_all(b),
+        }
+    }
+}
+
+/// The queue and the worker's lifecycle, behind one lock.
+pub(crate) struct State {
+    pub(crate) mode: Mode,
+    pub(crate) queue: Queue,
+}
+
+/// One step's rows, taken under the queue lock and run outside it.
+pub(crate) struct Taken {
+    /// `parts[f]` = one tensor per member for step feed `f`, in batch
+    /// order, each `[rows] + example_dims`.
+    pub(crate) parts: Vec<Vec<Tensor>>,
+    /// Rows each member contributes, in batch order (the `split0` sizes).
+    pub(crate) rows: Vec<usize>,
+    pub(crate) members: Members,
+}
+
+/// Who a step's rows belong to, and so how its results are delivered.
+pub(crate) enum Members {
+    /// Whole requests, each completed with one [`Response`].
+    Requests { batch: Vec<Pending>, assembled: Instant },
+    /// One row per participating stream slot, accumulated into the
+    /// stream's current chunk.
+    Streams(Vec<u64>),
+}
+
+impl Members {
+    /// The step tag's kind word: `"{name}/batch-{seq}"` or
+    /// `"{name}/iter-{seq}"`.
+    fn word(&self) -> &'static str {
+        match self {
+            Members::Requests { .. } => "batch",
+            Members::Streams(_) => "iter",
+        }
+    }
+
+    fn deliver(self, b: &Shared, out: Output) {
+        match self {
+            Members::Requests { batch, assembled } => {
+                for (r, p) in batch.into_iter().enumerate() {
+                    let outputs = out.sliced.iter().map(|per_fetch| per_fetch[r].clone()).collect();
+                    b.metrics.served.fetch_add(1, Ordering::Relaxed);
+                    p.tx.send(Ok(Response {
+                        outputs,
+                        queue_delay: assembled.saturating_duration_since(p.enqueued),
+                        step: out.step,
+                        tag: out.tag.clone(),
+                        batch_rows: out.rows,
+                    }));
+                }
+            }
+            Members::Streams(slots) => {
+                if let Queue::Streams(q) = &mut b.state.lock().queue {
+                    q.deliver(&slots, &out, b);
+                }
+            }
+        }
+    }
+
+    /// A failed step fails a request batch; it destroys the participating
+    /// streams (their state may hold a half-applied update).
+    fn fail(self, b: &Shared, err: ExecError) {
+        match self {
+            Members::Requests { batch, .. } => {
+                for p in batch {
+                    b.metrics.failed.fetch_add(1, Ordering::Relaxed);
+                    p.tx.send(Err(err.clone()));
+                }
+            }
+            Members::Streams(slots) => {
+                if let Queue::Streams(q) = &mut b.state.lock().queue {
+                    q.fail(&slots, &err, b);
+                }
+            }
+        }
+    }
+}
+
+/// A successful step's results.
+pub(crate) struct Output {
+    /// `sliced[f][r]` = member `r`'s slice of signature fetch `f`.
+    pub(crate) sliced: Vec<Vec<Tensor>>,
+    pub(crate) step: u64,
+    pub(crate) tag: String,
+    /// Total rows in the step.
+    pub(crate) rows: usize,
+}
+
+/// The per-replica batcher. Dropping it drains (see module docs) and joins
+/// the worker thread.
+pub struct Batcher {
+    pub(crate) shared: Arc<Shared>,
+    thread: Mutex<Option<std::thread::JoinHandle<()>>>,
+}
+
+pub(crate) struct Shared {
+    pub(crate) name: String,
+    pub(crate) session: Arc<Session>,
+    pub(crate) signature: ModelSignature,
+    pub(crate) policy: BatchPolicy,
+    /// Every step's feeds: the signature feeds, then a stream model's
+    /// slots feed.
+    feeds: Vec<String>,
+    /// Every step's fetches: the signature fetches, then a stream model's
+    /// forced state fetches.
+    fetches: Vec<TensorRef>,
+    pub(crate) metrics: Arc<ServeMetrics>,
+    step_seq: AtomicU64,
+    pub(crate) state: Mutex<State>,
+    pub(crate) cv: Condvar,
 }
 
 impl Batcher {
     /// Validates `policy` against `signature`/`session` and spawns the
-    /// batcher thread for model `name`.
+    /// request batcher thread for model `name`.
     pub fn new(
         name: impl Into<String>,
         session: Arc<Session>,
         signature: ModelSignature,
         policy: BatchPolicy,
+    ) -> Result<Batcher> {
+        Batcher::start(name.into(), session, signature, policy, None)
+    }
+
+    /// Spawns the worker: a stream batcher when `stream` is set, a request
+    /// batcher otherwise. Streaming iterations run under
+    /// `policy.run_options`.
+    pub(crate) fn start(
+        name: String,
+        session: Arc<Session>,
+        signature: ModelSignature,
+        policy: BatchPolicy,
+        stream: Option<StreamSpec>,
     ) -> Result<Batcher> {
         policy.check()?;
         if signature.feeds.is_empty() || signature.fetches.is_empty() {
@@ -297,14 +518,27 @@ impl Batcher {
                 "serving signature needs at least one feed and one fetch".into(),
             ));
         }
+        let mut feeds: Vec<String> = signature.feeds.iter().map(|f| f.name.clone()).collect();
+        let mut fetches = signature.fetches.clone();
+        let queue = match stream {
+            None => Queue::Requests(QueueState::default()),
+            Some(spec) => {
+                spec.check_basic()?;
+                feeds.push(spec.slots_feed.clone());
+                fetches.extend(spec.state_fetches.iter().copied());
+                Queue::Streams(StreamQueue::new(spec))
+            }
+        };
         let shared = Arc::new(Shared {
-            name: name.into(),
+            name,
             session,
             signature,
             policy,
+            feeds,
+            fetches,
             metrics: Arc::new(ServeMetrics::default()),
-            batch_seq: AtomicU64::new(0),
-            state: Mutex::new(QueueState::default()),
+            step_seq: AtomicU64::new(0),
+            state: Mutex::new(State { mode: Mode::Running, queue }),
             cv: Condvar::new(),
         });
         let worker = shared.clone();
@@ -312,7 +546,7 @@ impl Batcher {
             .name(format!("dcf-serve/{}", worker.name))
             .spawn(move || worker.run_loop())
             .map_err(|e| ExecError::Internal(format!("spawning batcher thread: {e}")))?;
-        Ok(Batcher { shared, thread: Some(thread) })
+        Ok(Batcher { shared, thread: Mutex::new(Some(thread)) })
     }
 
     /// The model name this batcher serves.
@@ -347,17 +581,19 @@ impl Batcher {
     /// [`ExecError::BadFeedOrFetch`] for a signature mismatch,
     /// [`ExecError::Overloaded`] for a full queue,
     /// [`ExecError::DeadlineExceeded`] for an already-expired deadline,
-    /// [`ExecError::InvalidConfig`] for a request larger than any batch.
+    /// [`ExecError::InvalidConfig`] for a request larger than any batch or
+    /// a batcher that serves streams.
     pub fn submit(&self, request: Request) -> Result<Ticket> {
-        let m = &self.shared.metrics;
-        let rows = self.shared.signature.validate(&request.feeds).inspect_err(|_| {
+        let b = &self.shared;
+        let m = &b.metrics;
+        let rows = b.signature.validate(&request.feeds).inspect_err(|_| {
             m.rejected_shape.fetch_add(1, Ordering::Relaxed);
         })?;
-        if rows > self.shared.policy.max_batch_size {
+        if rows > b.policy.max_batch_size {
             m.rejected_shape.fetch_add(1, Ordering::Relaxed);
             return Err(ExecError::InvalidConfig(format!(
                 "request has {rows} rows, max_batch_size is {}",
-                self.shared.policy.max_batch_size
+                b.policy.max_batch_size
             )));
         }
         let now = Instant::now();
@@ -371,15 +607,22 @@ impl Batcher {
         }
         let (tx, rx) = oneshot::channel();
         {
-            let mut state = self.shared.state.lock();
-            if state.shutdown {
-                return Err(ExecError::Cancelled("batcher is shut down".into()));
+            let mut st = b.state.lock();
+            let running = st.mode == Mode::Running;
+            let Queue::Requests(q) = &mut st.queue else {
+                return Err(ExecError::InvalidConfig(format!(
+                    "model '{}' serves streams: open one with open_stream instead",
+                    b.name
+                )));
+            };
+            if !running {
+                return Err(ExecError::Cancelled(SHUTDOWN_MSG.into()));
             }
-            if state.queued_rows + rows > self.shared.policy.queue_capacity {
+            if q.queued_rows + rows > b.policy.queue_capacity {
                 m.rejected_overload.fetch_add(1, Ordering::Relaxed);
                 return Err(ExecError::Overloaded(format!(
                     "model '{}' queue is full ({} of {} rows)",
-                    self.shared.name, state.queued_rows, self.shared.policy.queue_capacity
+                    b.name, q.queued_rows, b.policy.queue_capacity
                 )));
             }
             let pending = Pending {
@@ -390,14 +633,14 @@ impl Batcher {
                 tx,
             };
             match request.priority {
-                Priority::Interactive => state.interactive.push_back(pending),
-                Priority::Batch => state.batch.push_back(pending),
+                Priority::Interactive => q.interactive.push_back(pending),
+                Priority::Batch => q.batch.push_back(pending),
             }
-            state.queued_rows += rows;
+            q.queued_rows += rows;
             m.queued_rows.fetch_add(rows as u64, Ordering::Relaxed);
         }
         m.submitted.fetch_add(1, Ordering::Relaxed);
-        self.shared.cv.notify_all();
+        b.cv.notify_all();
         Ok(Ticket { rx })
     }
 
@@ -405,173 +648,146 @@ impl Batcher {
     pub fn run(&self, request: Request) -> Result<Response> {
         self.submit(request)?.wait()
     }
-}
 
-impl Drop for Batcher {
-    fn drop(&mut self) {
+    /// Idle for scale-down purposes: nothing queued or mid-step, and no
+    /// live streams pinned here.
+    pub(crate) fn is_idle(&self) -> bool {
+        self.load() == 0 && self.active_streams() == 0
+    }
+
+    /// Retires the batcher: queued requests fail with the shutdown
+    /// rejection (the router resubmits them elsewhere), live streams fail
+    /// with [`ExecError::StreamClosed`], and the worker is joined — so the
+    /// metrics read afterwards are final.
+    pub(crate) fn close(&self) {
+        self.stop(Mode::Closed);
+    }
+
+    /// The one shutdown path: set the mode, wake the worker, join it.
+    fn stop(&self, mode: Mode) {
         {
-            let mut state = self.shared.state.lock();
-            state.shutdown = true;
+            let mut st = self.shared.state.lock();
+            if st.mode != Mode::Closed {
+                st.mode = mode;
+            }
         }
         self.shared.cv.notify_all();
-        if let Some(t) = self.thread.take() {
+        if let Some(t) = self.thread.lock().take() {
             let _ = t.join();
         }
     }
 }
 
+impl Drop for Batcher {
+    fn drop(&mut self) {
+        self.stop(Mode::Draining);
+    }
+}
+
 impl Shared {
-    /// The batcher thread: wait for work, assemble, run one batched step,
-    /// scatter. Runs until shutdown, then drains the queue with
-    /// `Cancelled`.
+    /// The worker: linger for co-batchable rows, take one step's rows,
+    /// run them. Exits once closed, or once draining finds nothing left.
     fn run_loop(&self) {
         loop {
-            let batch = {
-                let mut state = self.state.lock();
-                // Wait for the first request (or shutdown).
-                while state.is_empty() && !state.shutdown {
-                    self.cv.wait(&mut state);
-                }
-                if state.shutdown {
-                    let mut drained = Vec::new();
-                    drained.extend(state.interactive.drain(..));
-                    drained.extend(state.batch.drain(..));
-                    state.queued_rows = 0;
-                    self.metrics.queued_rows.store(0, Ordering::Relaxed);
-                    drop(state);
-                    for p in drained {
-                        p.tx.send(Err(ExecError::Cancelled(SHUTDOWN_MSG.into())));
-                    }
-                    return;
-                }
-                // Linger for co-batchable requests: until the row cap is
-                // reached, the oldest request has waited `max_queue_delay`,
-                // or a queued deadline needs expiring.
+            let taken = {
+                let mut st = self.state.lock();
                 loop {
-                    if state.shutdown || state.queued_rows >= self.policy.max_batch_size {
-                        break;
+                    let now = Instant::now();
+                    let r = st.queue.readiness(now, self);
+                    let draining = st.mode == Mode::Draining;
+                    if st.mode == Mode::Closed || (draining && !r.ready) {
+                        st.queue.fail_all(self);
+                        return;
                     }
-                    let Some(oldest) = state.oldest() else { break };
-                    let mut wake = oldest + self.policy.max_queue_delay;
-                    if let Some(d) = state.earliest_deadline() {
-                        wake = wake.min(d);
+                    // Linger until the window closes or a deadline needs
+                    // expiring; a draining batcher never lingers.
+                    let wake = [r.linger_until, r.deadline].into_iter().flatten().min();
+                    if r.ready && (r.urgent || draining || wake.is_none_or(|w| now >= w)) {
+                        let Some(taken) = st.queue.take(now, self) else { continue };
+                        // Move the rows from queued to running under the
+                        // lock, running first. The Release pairs with the
+                        // Acquire in `ServeMetrics::load`, so `load()`
+                        // never reads 0 while a step is in hand.
+                        let n = taken.rows.iter().sum::<usize>() as u64;
+                        self.metrics.running_rows.fetch_add(n, Ordering::Relaxed);
+                        self.metrics.queued_rows.fetch_sub(n, Ordering::Release);
+                        break taken;
                     }
-                    if Instant::now() >= wake {
-                        break;
+                    match wake {
+                        Some(w) => {
+                            self.cv.wait_until(&mut st, w);
+                        }
+                        None => self.cv.wait(&mut st),
                     }
-                    self.cv.wait_until(&mut state, wake);
                 }
-                assemble(&mut state, self.policy.max_batch_size, Instant::now(), &self.metrics)
             };
-            if batch.is_empty() {
-                continue; // everything queued had expired
-            }
-            self.run_batch(batch);
+            self.run_step(taken);
         }
     }
 
-    /// Concatenates the batch's feeds, runs one tagged step, splits each
-    /// fetch by per-request row counts, and completes every request.
-    fn run_batch(&self, batch: Vec<Pending>) {
-        let assembled = Instant::now();
-        let rows: Vec<usize> = batch.iter().map(|p| p.rows).collect();
-        let total_rows: usize = rows.iter().sum();
-        for p in &batch {
-            self.metrics.record_queue_delay_us(
-                assembled.saturating_duration_since(p.enqueued).as_micros() as u64,
-            );
+    /// Runs one step and delivers (or fails) its members. The rows stay
+    /// counted as running until their results are delivered.
+    fn run_step(&self, taken: Taken) {
+        let Taken { parts, rows, members } = taken;
+        match self.execute(parts, &rows, members.word()) {
+            Ok(out) => members.deliver(self, out),
+            Err(e) => members.fail(self, e),
+        }
+        let n = rows.iter().sum::<usize>() as u64;
+        self.metrics.running_rows.fetch_sub(n, Ordering::Relaxed);
+    }
+
+    /// The step runner: `concat0` per step feed, one tagged
+    /// `Session::run`, the bookkeeping, then `split0` of every signature
+    /// fetch by member rows.
+    fn execute(&self, parts: Vec<Vec<Tensor>>, rows: &[usize], word: &str) -> Result<Output> {
+        let mut merged: HashMap<String, Tensor> = HashMap::with_capacity(self.feeds.len());
+        for (name, parts) in self.feeds.iter().zip(parts) {
+            let t = Tensor::concat0(&parts).map_err(|e| {
+                ExecError::Internal(format!(
+                    "step concat of feed '{name}' failed after enqueue validation: {e}"
+                ))
+            })?;
+            merged.insert(name.clone(), t);
         }
 
-        // Merge: one concat0 per signature feed, in batch order.
-        let mut merged: HashMap<String, Tensor> =
-            HashMap::with_capacity(self.signature.feeds.len());
-        for spec in &self.signature.feeds {
-            let parts: Vec<Tensor> = batch
-                .iter()
-                .map(|p| p.feeds.get(&spec.name).expect("validated at enqueue").clone())
-                .collect();
-            match Tensor::concat0(&parts) {
-                Ok(t) => {
-                    merged.insert(spec.name.clone(), t);
-                }
-                Err(e) => {
-                    let err = ExecError::Internal(format!(
-                        "batch concat of feed '{}' failed after enqueue validation: {e}",
-                        spec.name
-                    ));
-                    return self.fail_batch(batch, err);
-                }
-            }
-        }
-
-        let seq = self.batch_seq.fetch_add(1, Ordering::Relaxed);
-        let tag = if self.policy.run_options.tag.is_empty() {
-            format!("{}/batch-{seq}", self.name)
-        } else {
-            format!("{}/batch-{seq}", self.policy.run_options.tag)
+        let seq = self.step_seq.fetch_add(1, Ordering::Relaxed);
+        let base = match self.policy.run_options.tag.as_str() {
+            "" => &self.name,
+            tag => tag,
         };
+        let tag = format!("{base}/{word}-{seq}");
         let options = self.policy.run_options.clone().with_tag(tag.clone());
 
-        self.metrics.batches.fetch_add(1, Ordering::Relaxed);
-        self.metrics.batched_rows.fetch_add(total_rows as u64, Ordering::Relaxed);
-        self.metrics.running_rows.fetch_add(total_rows as u64, Ordering::Relaxed);
-        let (result, meta) = self.session.run(&options, &merged, &self.signature.fetches);
-        self.metrics.running_rows.fetch_sub(total_rows as u64, Ordering::Relaxed);
-        self.metrics.record_step_latency_us(meta.wall.as_micros() as u64);
-        self.metrics.retries.fetch_add(meta.retries, Ordering::Relaxed);
-        self.metrics.fault_events.fetch_add(meta.fault_events.len() as u64, Ordering::Relaxed);
+        let m = &self.metrics;
+        let (result, meta) = self.session.run(&options, &merged, &self.fetches);
+        m.record_step_latency_us(meta.wall.as_micros() as u64);
+        m.retries.fetch_add(meta.retries, Ordering::Relaxed);
+        m.fault_events.fetch_add(meta.fault_events.len() as u64, Ordering::Relaxed);
+        let outputs = result.inspect_err(|_| {
+            m.steps_failed.fetch_add(1, Ordering::Relaxed);
+            m.consecutive_step_failures.fetch_add(1, Ordering::Relaxed);
+        })?;
+        m.consecutive_step_failures.store(0, Ordering::Relaxed);
 
-        let outputs = match result {
-            Ok(v) => v,
-            Err(e) => {
-                self.metrics.steps_failed.fetch_add(1, Ordering::Relaxed);
-                self.metrics.consecutive_step_failures.fetch_add(1, Ordering::Relaxed);
-                return self.fail_batch(batch, e);
-            }
-        };
-        self.metrics.consecutive_step_failures.store(0, Ordering::Relaxed);
-
-        // Scatter: split every fetch along axis 0 by per-request rows.
-        // `sliced[f][r]` = request r's slice of fetch f.
-        let mut sliced: Vec<Vec<Tensor>> = Vec::with_capacity(outputs.len());
-        for (f, out) in outputs.iter().enumerate() {
-            if out.shape().is_scalar() || out.shape().dim(0) != total_rows {
-                let err = ExecError::InvalidConfig(format!(
+        // Scatter only the signature fetches; trailing state fetches exist
+        // to force the state writes.
+        let total: usize = rows.iter().sum();
+        let mut sliced = Vec::with_capacity(self.signature.fetches.len());
+        for (f, out) in outputs.iter().take(self.signature.fetches.len()).enumerate() {
+            if out.shape().is_scalar() || out.shape().dim(0) != total {
+                return Err(ExecError::InvalidConfig(format!(
                     "fetch #{f} of model '{}' is not batch-major: got shape {:?}, \
-                     expected leading dimension {total_rows}",
+                     expected leading dimension {total}",
                     self.name,
                     out.shape().dims()
-                ));
-                return self.fail_batch(batch, err);
+                )));
             }
-            match out.split0(&rows) {
-                Ok(parts) => sliced.push(parts),
-                Err(e) => {
-                    let err = ExecError::Internal(format!("scattering fetch #{f} of a batch: {e}"));
-                    return self.fail_batch(batch, err);
-                }
-            }
+            sliced.push(out.split0(rows).map_err(|e| {
+                ExecError::Internal(format!("scattering fetch #{f} of step '{tag}': {e}"))
+            })?);
         }
-
-        for (r, p) in batch.into_iter().enumerate() {
-            let outputs: Vec<Tensor> =
-                sliced.iter().map(|per_fetch| per_fetch[r].clone()).collect();
-            self.metrics.served.fetch_add(1, Ordering::Relaxed);
-            p.tx.send(Ok(Response {
-                outputs,
-                queue_delay: assembled.saturating_duration_since(p.enqueued),
-                step: meta.step,
-                tag: tag.clone(),
-                batch_rows: total_rows,
-            }));
-        }
-    }
-
-    fn fail_batch(&self, batch: Vec<Pending>, err: ExecError) {
-        for p in batch {
-            self.metrics.failed.fetch_add(1, Ordering::Relaxed);
-            p.tx.send(Err(err.clone()));
-        }
+        Ok(Output { sliced, step: meta.step, tag, rows: total })
     }
 }
 

@@ -24,27 +24,28 @@
 //!   queue-delay p99 drives replica scale-up/scale-down under a
 //!   [`ScalingPolicy`]; a replica whose steps keep aborting is evicted and
 //!   replaced while the model keeps serving.
-//! * [`Batcher`] — one per replica. Clients enqueue feed tensors
-//!   ([`Request`]); the batcher thread coalesces queued requests along the
-//!   leading batch dimension under a [`BatchPolicy`]
-//!   (`max_batch_size` rows / `max_queue_delay` wait), issues **one**
-//!   tagged `Session::run` with the concatenated feed, and splits each
-//!   fetched tensor back into per-request slices delivered through
-//!   one-shot channels. Admission control is structural: every queue is
-//!   bounded (rejecting with [`dcf_exec::ExecError::Overloaded`] instead
-//!   of queueing forever), per-request deadlines expire *before* a request
-//!   can occupy a batch slot, and an interactive priority lane preempts
-//!   bulk traffic at batch-assembly time.
-//! * [`ContinuousBatcher`] + [`StreamHandle`] — streaming stateful
-//!   inference. [`ModelHandle::open_stream`] returns a sticky stream
-//!   pinned to one replica, whose in-graph state (per-stream slots read
-//!   and written by `StreamStateRead`/`StreamStateWrite` ops) persists
-//!   across submits. The continuous batcher admits and retires streams
-//!   **between** decode iterations — rows are gathered into the live
-//!   batch as streams join and compacted out as they finish, instead of
-//!   stop-the-world re-batching at step boundaries — with per-stream
-//!   deadlines, a structured `StreamClosed`/`Overloaded` surface, and
-//!   drain-on-unload semantics.
+//! * [`Batcher`] — one per replica: one worker thread, one bounded
+//!   queue, one step runner that issues **one** tagged `Session::run`
+//!   with the concatenated feeds and splits each fetched tensor back per
+//!   member. Its queue holds one of two kinds of work:
+//!   - **requests** ([`Request`]), coalesced along the leading batch
+//!     dimension under a [`BatchPolicy`] (`max_batch_size` rows /
+//!     `max_queue_delay` wait) and answered through one-shot channels.
+//!     Admission control is structural: the queue is bounded (rejecting
+//!     with [`dcf_exec::ExecError::Overloaded`] instead of queueing
+//!     forever), per-request deadlines expire *before* a request can
+//!     occupy a batch slot, and an interactive priority lane preempts
+//!     bulk traffic at batch-assembly time;
+//!   - **streams** ([`StreamHandle`]), on a model registered with a
+//!     [`StreamSpec`]. [`ModelHandle::open_stream`] returns a sticky
+//!     stream pinned to one replica, whose in-graph state (per-stream
+//!     slots read and written by `StreamStateRead`/`StreamStateWrite`
+//!     ops) persists across submits. Streams join and retire **between**
+//!     decode iterations — rows are gathered into the live batch as
+//!     streams join and compacted out as they finish, instead of
+//!     stop-the-world re-batching at step boundaries — with per-stream
+//!     deadlines, a structured `StreamClosed`/`Overloaded` surface, and
+//!     drain-on-unload semantics.
 //! * [`ServeMetrics`] — per-replica counters threaded from each step's
 //!   `RunMetadata`: batch occupancy, queue-delay and step-latency
 //!   percentiles, rejects, expirations, transfer retries and injected
@@ -78,7 +79,7 @@ pub use metrics::{MetricsSnapshot, ServeMetrics};
 pub use registry::{ModelHandle, ModelRegistry, ModelSpec};
 pub use replica::{ModelMetrics, ReplicaMetrics, ScalingPolicy};
 pub use signature::{FeedSpec, ModelSignature};
-pub use stream::{ContinuousBatcher, StreamHandle, StreamResponse, StreamSpec, StreamTicket};
+pub use stream::{StreamHandle, StreamResponse, StreamSpec, StreamTicket};
 
 /// Crate-wide result type: serving surfaces the runtime's structured
 /// [`dcf_exec::ExecError`]s.

@@ -213,9 +213,11 @@ impl ServeMetrics {
 
     /// The replica's instantaneous load in rows: queued plus mid-step.
     /// Lock-free — this is the signal power-of-two-choices routing
-    /// compares per request.
+    /// compares per request. `queued_rows` is read first, with Acquire:
+    /// the batcher adds taken rows to `running_rows` before its Release
+    /// subtraction from `queued_rows`, so rows in hand are always counted.
     pub fn load(&self) -> u64 {
-        self.queued_rows.load(Ordering::Relaxed) + self.running_rows.load(Ordering::Relaxed)
+        self.queued_rows.load(Ordering::Acquire) + self.running_rows.load(Ordering::Relaxed)
     }
 
     /// A plain, mergeable copy of every cell.

@@ -63,9 +63,11 @@ pub struct ModelSpec {
     /// `i` runs its batched steps under `replica_fault_plans[i]` when set.
     /// Only effective with the `faultinject` feature.
     pub replica_fault_plans: Vec<Option<FaultPlan>>,
-    /// Streaming configuration. When set, every replica also runs a
-    /// continuous batcher and clients may [`ModelHandle::open_stream`];
-    /// validated against the graph and signature at registration.
+    /// Streaming configuration. When set, every replica's batcher serves
+    /// streams: clients [`ModelHandle::open_stream`], and
+    /// [`ModelHandle::submit`]/[`ModelHandle::serve`] fail with
+    /// [`ExecError::InvalidConfig`]. Validated against the graph and
+    /// signature at registration.
     pub stream: Option<StreamSpec>,
 }
 
@@ -104,8 +106,8 @@ impl ModelSpec {
         self
     }
 
-    /// Enables streaming under `spec` (builder style): every replica
-    /// runs a continuous batcher and clients may
+    /// Enables streaming under `spec` (builder style): every replica's
+    /// batcher serves streams, and clients
     /// [`ModelHandle::open_stream`].
     pub fn with_stream(mut self, spec: StreamSpec) -> ModelSpec {
         self.stream = Some(spec);
@@ -199,8 +201,9 @@ impl ModelHandle {
 
     /// Enqueues `request`, instantiating the replica set on first use and
     /// routing to the less loaded of two candidate replicas. Rejections
-    /// (signature mismatch, full queue, expired deadline) are immediate
-    /// and structured.
+    /// (signature mismatch, full queue, expired deadline, a model
+    /// registered [`ModelSpec::with_stream`]) are immediate and
+    /// structured.
     pub fn submit(&self, request: Request) -> Result<Ticket> {
         self.entry.instantiate()?.submit(request)
     }
@@ -315,8 +318,8 @@ impl ModelRegistry {
         Ok(ModelHandle { registry: self.inner.clone(), entry })
     }
 
-    /// Removes a model by name; replicas (if instantiated) drain pending
-    /// requests with `Cancelled` as the last handle drops.
+    /// Removes a model by name; replicas (if instantiated) serve what they
+    /// already accepted, then exit, as the last handle drops.
     pub fn unload(&self, name: &str) -> bool {
         self.inner.models.write().remove(name).is_some()
     }

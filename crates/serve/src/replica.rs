@@ -10,9 +10,10 @@
 //!
 //! * **Replicas** — each a `Session` (on a [`Cluster::fork`] of the
 //!   spec's cluster, so no device state is shared) plus its own
-//!   [`Batcher`] thread. Structurally identical replicas share one
-//!   compile through the runtime's process-wide compiled-graph cache, so
-//!   instantiating N replicas pays for one optimize/place/partition.
+//!   [`Batcher`] thread, serving requests or, on a stream model, streams.
+//!   Structurally identical replicas share one compile through the
+//!   runtime's process-wide compiled-graph cache, so instantiating N
+//!   replicas pays for one optimize/place/partition.
 //! * **Routing** — power-of-two-choices per request: pick two distinct
 //!   replicas (deterministically, from a hashed submit counter), compare
 //!   their lock-free load gauges (`queued + running` rows, see
@@ -22,7 +23,7 @@
 //! * **Health** — every batched step that fails bumps its replica's
 //!   `consecutive_step_failures`; a success resets it. A replica that
 //!   reaches [`ScalingPolicy::max_consecutive_step_failures`] is evicted
-//!   — its queue drains with `Cancelled`, its counters fold into the
+//!   — its queue fails with `Cancelled`, its counters fold into the
 //!   retired aggregate — and a fresh replica is built in its place. The
 //!   model keeps serving throughout; only requests already queued on the
 //!   sick replica are failed over (resubmitted by [`ReplicaSet::serve`]).
@@ -41,7 +42,7 @@
 use crate::batcher::{BatchPolicy, Batcher, Request, Response, Ticket, SHUTDOWN_MSG};
 use crate::metrics::{HistData, MetricsSnapshot, RawMetrics};
 use crate::signature::ModelSignature;
-use crate::stream::{ContinuousBatcher, StreamHandle, StreamSpec};
+use crate::stream::{StreamHandle, StreamSpec};
 use crate::Result;
 use dcf_exec::ExecError;
 use dcf_graph::Graph;
@@ -164,8 +165,8 @@ pub(crate) struct ReplicaTemplate {
     /// Replacement replicas get fresh ids past the end of this list, so a
     /// replica evicted for injected faults is replaced by a healthy one.
     pub replica_fault_plans: Vec<Option<FaultPlan>>,
-    /// Streaming configuration: when set, every replica also runs a
-    /// [`ContinuousBatcher`] over its session, and the model accepts
+    /// Streaming configuration: when set, every replica's batcher serves
+    /// streams instead of requests, and the model accepts
     /// [`ReplicaSet::open_stream`].
     pub stream: Option<StreamSpec>,
 }
@@ -173,30 +174,12 @@ pub(crate) struct ReplicaTemplate {
 struct Replica {
     id: u64,
     batcher: Arc<Batcher>,
-    /// The replica's continuous batcher, present iff the template has a
-    /// stream spec. Shares the batcher's session, so streams and
-    /// request/response traffic interleave on one model instance.
-    streams: Option<Arc<ContinuousBatcher>>,
 }
 
 impl Replica {
-    /// The replica-health signal: the worst consecutive-failure streak
-    /// across the request batcher and the stream batcher. Either one
-    /// failing repeatedly means the replica's session is sick.
+    /// The replica-health signal: failed steps since the last success.
     fn consecutive_step_failures(&self) -> u64 {
-        let b = self.batcher.metrics().consecutive_step_failures.load(Ordering::Relaxed);
-        let s = self
-            .streams
-            .as_ref()
-            .map_or(0, |s| s.metrics().consecutive_step_failures.load(Ordering::Relaxed));
-        b.max(s)
-    }
-
-    /// Idle for scale-down purposes: nothing queued or running on either
-    /// batcher, and no live streams pinned to this replica.
-    fn is_idle(&self) -> bool {
-        self.batcher.load() == 0
-            && self.streams.as_ref().is_none_or(|s| s.load() == 0 && s.active_streams() == 0)
+        self.batcher.metrics().consecutive_step_failures.load(Ordering::Relaxed)
     }
 }
 
@@ -364,7 +347,9 @@ impl ReplicaSet {
     }
 
     /// One more replica from the template: fresh forked cluster, fresh
-    /// session (cache-shared compile), fresh batcher thread.
+    /// session (cache-shared compile), fresh batcher thread. On a stream
+    /// model the batcher serves streams, whose state slots live in this
+    /// replica's session — which is what makes them sticky to it.
     fn build_replica(&self) -> Result<Replica> {
         let t = &self.template;
         let id = self.next_replica_id.fetch_add(1, Ordering::Relaxed);
@@ -374,27 +359,14 @@ impl ReplicaSet {
         }
         let session =
             Arc::new(Session::new(t.graph.clone(), t.cluster.fork(), t.session_options.clone())?);
-        // The stream batcher shares the batcher's run options (after the
-        // fault-plan override, so streaming iterations run under injected
-        // faults too) and the replica's session, where its state slots
-        // live — which is what makes streams sticky to this replica.
-        let streams = match &t.stream {
-            Some(spec) => Some(Arc::new(ContinuousBatcher::new(
-                format!("{}[r{id}]", t.name),
-                session.clone(),
-                t.signature.clone(),
-                spec.clone(),
-                policy.run_options.clone(),
-            )?)),
-            None => None,
-        };
-        let batcher = Arc::new(Batcher::new(
+        let batcher = Arc::new(Batcher::start(
             format!("{}[r{id}]", t.name),
             session,
             t.signature.clone(),
             policy,
+            t.stream.clone(),
         )?);
-        Ok(Replica { id, batcher, streams })
+        Ok(Replica { id, batcher })
     }
 
     /// Current replica count.
@@ -408,34 +380,24 @@ impl ReplicaSet {
     /// to rebalance). Fails with [`ExecError::InvalidConfig`] when the
     /// model was registered without a stream spec.
     pub(crate) fn open_stream(&self, deadline: Option<std::time::Instant>) -> Result<StreamHandle> {
-        let worker = {
-            let replicas = self.replicas.read();
-            if replicas.is_empty() {
-                return Err(ExecError::Internal(format!(
-                    "model '{}' has no live replicas",
-                    self.template.name
-                )));
-            }
-            replicas
-                .iter()
-                .filter_map(|r| r.streams.clone())
-                .min_by_key(|s| s.active_streams())
-                .ok_or_else(|| {
-                    ExecError::InvalidConfig(format!(
-                        "model '{}' was registered without a stream spec",
-                        self.template.name
-                    ))
-                })?
-        };
-        let slot = worker.open(deadline)?;
+        let worker = self
+            .replicas
+            .read()
+            .iter()
+            .min_by_key(|r| r.batcher.active_streams())
+            .map(|r| r.batcher.clone())
+            .ok_or_else(|| {
+                ExecError::Internal(format!("model '{}' has no live replicas", self.template.name))
+            })?;
+        let slot = worker.open_stream(deadline)?;
         Ok(StreamHandle::attach(worker, slot))
     }
 
     /// Routes `request` to the less loaded of two candidate replicas and
-    /// enqueues it. Rejections (signature, backpressure, expired deadline)
-    /// are the batcher's own, immediate and structured; the only
-    /// router-added retry is against a replica that shut down between
-    /// routing and enqueue.
+    /// enqueues it. Rejections (signature, backpressure, expired deadline,
+    /// [`ExecError::InvalidConfig`] on a stream model) are the batcher's
+    /// own, immediate and structured; the only router-added retry is
+    /// against a replica that shut down between routing and enqueue.
     pub fn submit(&self, request: Request) -> Result<Ticket> {
         let seq = self.submit_seq.fetch_add(1, Ordering::Relaxed) + 1;
         let result = self.submit_once(&request, seq).or_else(|e| {
@@ -534,27 +496,16 @@ impl ReplicaSet {
         Ok(())
     }
 
-    /// Folds a removed replica's counters into the retired aggregate and
-    /// drops it (draining its queue with `Cancelled`, joining its thread).
-    /// Streams pinned to the replica are hard-closed first — their state
-    /// lives in this replica's session, so unlike queued requests they
-    /// cannot fail over; clients get [`ExecError::StreamClosed`].
+    /// Closes a removed replica's batcher and folds its counters into the
+    /// retired aggregate. Closing fails queued requests with `Cancelled`
+    /// (callers resubmit them) and pinned streams with
+    /// [`ExecError::StreamClosed`] — their state lives in this replica's
+    /// session, so they cannot fail over — and joins the worker, so the
+    /// snapshot taken afterwards misses no in-flight step and its gauges
+    /// are all zero.
     fn retire(&self, replica: Replica) {
-        if let Some(s) = &replica.streams {
-            s.close_all("replica retired");
-        }
-        let mut raw = replica.batcher.metrics().raw();
-        if let Some(s) = &replica.streams {
-            raw.merge(&s.metrics().raw());
-        }
-        // Gauges die with the replica; only monotone counters are
-        // meaningful in the retired aggregate. (close_all already zeroed
-        // the stream gauges.)
-        raw.queued_rows = 0;
-        raw.running_rows = 0;
-        raw.active_streams = 0;
-        self.retired.lock().merge(&raw);
-        drop(replica);
+        replica.batcher.close();
+        self.retired.lock().merge(&replica.batcher.metrics().raw());
     }
 
     /// One scaling decision over the windowed queue-delay p99. The
@@ -587,7 +538,7 @@ impl ReplicaSet {
                 // over-provisioned, whatever the p99 says.
                 let mut replicas = self.replicas.write();
                 if replicas.len() > scaling.min_replicas {
-                    if let Some(idx) = replicas.iter().rposition(|r| r.is_idle()) {
+                    if let Some(idx) = replicas.iter().rposition(|r| r.batcher.is_idle()) {
                         let idle = replicas.remove(idx);
                         drop(replicas);
                         control.down_streak = 0;
@@ -605,26 +556,19 @@ impl ReplicaSet {
     /// lock-free; the replica list itself is held only long enough to
     /// clone the batcher handles.
     pub fn metrics(&self) -> ModelMetrics {
-        let handles: Vec<(u64, Arc<Batcher>, Option<Arc<ContinuousBatcher>>)> = self
-            .replicas
-            .read()
-            .iter()
-            .map(|r| (r.id, r.batcher.clone(), r.streams.clone()))
-            .collect();
+        let handles: Vec<(u64, Arc<Batcher>)> =
+            self.replicas.read().iter().map(|r| (r.id, r.batcher.clone())).collect();
         let max_rows = self.template.policy.max_batch_size;
         let mut aggregate = self.retired.lock().clone();
         let mut per_replica = Vec::with_capacity(handles.len());
-        for (id, b, s) in &handles {
-            let mut raw = b.metrics().raw();
-            let mut failures = b.metrics().consecutive_step_failures.load(Ordering::Relaxed);
-            if let Some(s) = s {
-                raw.merge(&s.metrics().raw());
-                failures =
-                    failures.max(s.metrics().consecutive_step_failures.load(Ordering::Relaxed));
-            }
+        for (id, b) in &handles {
+            let raw = b.metrics().raw();
             per_replica.push(ReplicaMetrics {
                 id: *id,
-                consecutive_step_failures: failures,
+                consecutive_step_failures: b
+                    .metrics()
+                    .consecutive_step_failures
+                    .load(Ordering::Relaxed),
                 snapshot: raw.snapshot(max_rows),
             });
             aggregate.merge(&raw);

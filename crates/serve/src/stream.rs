@@ -1,7 +1,7 @@
-//! Streaming stateful inference: sticky stream sessions and continuous
-//! batching.
+//! Streaming stateful inference: sticky stream sessions and the stream
+//! queue of the per-replica [`Batcher`].
 //!
-//! The [`crate::Batcher`] serves stateless request/response traffic: any
+//! A request batcher serves stateless request/response traffic: any
 //! request can ride any batch on any replica. A *stream* is different —
 //! it owns in-graph state (an RNN decoder's hidden state) that must
 //! persist across submissions, so a stream is **sticky**: opened against
@@ -9,17 +9,22 @@
 //! the executor's `ResourceManager`, ids never reused) for each declared
 //! state cell.
 //!
-//! The [`ContinuousBatcher`] runs one *iteration* per `Session::run`: a
-//! `[B, …]` batch with exactly one row per participating stream, plus a
-//! batcher-fed `[B]` `i64` slots tensor the graph's
-//! `StreamStateRead`/`StreamStateWrite` ops gather and scatter state
-//! through. Batch membership is recomputed **between iterations** — a
-//! stream that joins is gathered into the very next iteration, and a
+//! On a stream model, each replica's [`Batcher`] runs one *iteration* per
+//! `Session::run`: a `[B, …]` batch with exactly one row per
+//! participating stream, plus a batcher-fed `[B]` `i64` slots tensor the
+//! graph's `StreamStateRead`/`StreamStateWrite` ops gather and scatter
+//! state through. Batch membership is recomputed **between iterations** —
+//! a stream that joins is gathered into the very next iteration, and a
 //! stream that finishes is compacted out — instead of the stop-the-world
 //! alternative (freeze a batch, run every member to completion, only then
 //! admit waiters). That is the serving-side mirror of the paper's dynamic
 //! control flow: work enters and leaves the computation at iteration
 //! granularity, not step granularity.
+//!
+//! The worker loop and step runner are the batcher's; this module holds
+//! the stream queue: rows are taken one per live stream, rotated fairly
+//! past the row cap, accumulate into their chunk's [`StreamResponse`],
+//! and a failed iteration destroys its streams.
 //!
 //! Structured failure surface:
 //!
@@ -38,23 +43,22 @@
 //! iteration until every accepted submission has completed, then the
 //! remaining slots are dropped and the worker exits.
 
-use crate::metrics::ServeMetrics;
+use crate::batcher::{
+    Batcher, Members, Mode, Output, Queue, Readiness, Shared, Taken, SHUTDOWN_MSG,
+};
 use crate::oneshot;
 use crate::signature::ModelSignature;
 use crate::Result;
 use dcf_exec::ExecError;
 use dcf_graph::{Graph, OpKind, TensorRef};
-use dcf_runtime::{RunOptions, Session};
-use dcf_sync::{Condvar, Mutex};
 use dcf_tensor::{DType, Tensor};
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Error text of the [`ExecError::Cancelled`] a stream batcher uses once
-/// it has begun draining: the worker is going away, not the stream.
-pub(crate) const STREAM_SHUTDOWN_MSG: &str = "stream batcher shut down";
+/// Why the streams of a retired (evicted or scaled-down) replica closed.
+const RETIRED_MSG: &str = "replica retired";
 
 /// How a model serves streams: which placeholder carries the per-row
 /// stream slots, which state cells a new stream starts with, and the
@@ -284,6 +288,8 @@ struct LiveStream {
     deadline: Option<Instant>,
     /// Client closed the stream; it retires once `pending` drains.
     closing: bool,
+    /// The stream's `[1]` slot-id row for the slots feed.
+    slot_row: Tensor,
 }
 
 /// A slot's entry: live, or a tombstone carrying why it closed (so a
@@ -294,17 +300,9 @@ enum Entry {
     Closed(String),
 }
 
-/// Worker lifecycle.
-enum Mode {
-    Running,
-    /// Last handle dropped: serve pending rows to completion, admit
-    /// nothing new, then exit.
-    Draining,
-    /// Replica retired/evicted: fail everything with `StreamClosed`.
-    Closed(String),
-}
-
-struct StreamsState {
+/// The stream queue of a batcher: every live stream's pending chunks.
+pub(crate) struct StreamQueue {
+    spec: StreamSpec,
     streams: HashMap<u64, Entry>,
     /// Admission order of live slots; gather iterates it (rotated by
     /// `cursor` when over the row cap) so batch order is deterministic
@@ -313,354 +311,89 @@ struct StreamsState {
     cursor: usize,
     /// Unserved rows across all streams (the `queue_capacity` counter).
     queued_rows: usize,
-    mode: Mode,
 }
 
-/// One iteration's gathered rows, merged and run outside the state lock.
-struct Iteration {
-    /// Participating slots, in batch-row order.
-    slots: Vec<u64>,
-    /// `rows[f]` = each participant's `[1]+dims` tensor for signature
-    /// feed `f`, in batch-row order.
-    rows: Vec<Vec<Tensor>>,
-}
+impl StreamQueue {
+    pub(crate) fn new(spec: StreamSpec) -> StreamQueue {
+        StreamQueue { spec, streams: HashMap::new(), order: Vec::new(), cursor: 0, queued_rows: 0 }
+    }
 
-struct StreamShared {
-    name: String,
-    session: Arc<Session>,
-    signature: ModelSignature,
-    spec: StreamSpec,
-    run_options: RunOptions,
-    /// Signature fetches followed by the spec's forced state fetches.
-    fetches: Vec<TensorRef>,
-    metrics: Arc<ServeMetrics>,
-    iter_seq: AtomicU64,
-    state: Mutex<StreamsState>,
-    cv: Condvar,
-}
-
-/// The per-replica continuous batcher. One worker thread owns the
-/// iteration loop; streams join and retire between its iterations.
-/// Dropping the last reference drains (see module docs) and joins the
-/// thread.
-pub struct ContinuousBatcher {
-    shared: Arc<StreamShared>,
-    thread: Option<std::thread::JoinHandle<()>>,
-}
-
-impl ContinuousBatcher {
-    /// Spawns the stream worker for model `name` over `session`.
-    pub(crate) fn new(
-        name: impl Into<String>,
-        session: Arc<Session>,
-        signature: ModelSignature,
-        spec: StreamSpec,
-        run_options: RunOptions,
-    ) -> Result<ContinuousBatcher> {
-        spec.check_basic()?;
-        if signature.feeds.is_empty() || signature.fetches.is_empty() {
-            return Err(ExecError::InvalidConfig(
-                "serving signature needs at least one feed and one fetch".into(),
-            ));
+    /// Retires live stream `slot`: drops its state, takes its pending rows
+    /// off the queue and leaves a tombstone saying `why` (none for a
+    /// stream the client closed). Returns the pending chunks for the
+    /// caller to fail.
+    fn retire(&mut self, slot: u64, why: Option<String>, b: &Shared) -> VecDeque<Chunk> {
+        let Some(Entry::Live(live)) = self.streams.remove(&slot) else { return VecDeque::new() };
+        self.order.retain(|&x| x != slot);
+        b.session.resources().stream_drop(slot);
+        let m = &b.metrics;
+        m.streams_retired.fetch_add(1, Ordering::Relaxed);
+        m.active_streams.fetch_sub(1, Ordering::Relaxed);
+        for chunk in &live.pending {
+            let remaining = chunk.rows() - chunk.next_row;
+            self.queued_rows -= remaining;
+            m.queued_rows.fetch_sub(remaining as u64, Ordering::Relaxed);
         }
-        let mut fetches = signature.fetches.clone();
-        fetches.extend(spec.state_fetches.iter().copied());
-        let shared = Arc::new(StreamShared {
-            name: name.into(),
-            session,
-            signature,
-            spec,
-            run_options,
-            fetches,
-            metrics: Arc::new(ServeMetrics::default()),
-            iter_seq: AtomicU64::new(0),
-            state: Mutex::new(StreamsState {
-                streams: HashMap::new(),
-                order: Vec::new(),
-                cursor: 0,
-                queued_rows: 0,
-                mode: Mode::Running,
-            }),
-            cv: Condvar::new(),
-        });
-        let worker = shared.clone();
-        let thread = std::thread::Builder::new()
-            .name(format!("dcf-serve/{}/stream", worker.name))
-            .spawn(move || worker.run_loop())
-            .map_err(|e| ExecError::Internal(format!("spawning stream batcher thread: {e}")))?;
-        Ok(ContinuousBatcher { shared, thread: Some(thread) })
-    }
-
-    /// The model name this batcher serves streams for.
-    pub fn name(&self) -> &str {
-        &self.shared.name
-    }
-
-    /// The live metrics handle.
-    pub fn metrics(&self) -> &Arc<ServeMetrics> {
-        &self.shared.metrics
-    }
-
-    /// Gauge: live streams on this replica — the signal stream routing
-    /// compares.
-    pub fn active_streams(&self) -> u64 {
-        self.shared.metrics.active_streams.load(Ordering::Relaxed)
-    }
-
-    /// Instantaneous load in rows (queued + mid-iteration), lock-free.
-    pub fn load(&self) -> u64 {
-        self.shared.metrics.load()
-    }
-
-    /// Opens a stream: mints a state slot, zero-initializes every
-    /// declared cell, and admits the stream into the iteration loop.
-    /// Returns the slot id. Rejects with [`ExecError::Overloaded`] at
-    /// the live-stream cap.
-    pub fn open(&self, deadline: Option<Instant>) -> Result<u64> {
-        self.shared.open(deadline)
-    }
-
-    /// Validates and enqueues `feeds` (each `[rows] + example_dims`) on
-    /// stream `stream`; the rows are served over `rows` successive
-    /// iterations.
-    pub fn submit(&self, stream: u64, feeds: HashMap<String, Tensor>) -> Result<StreamTicket> {
-        self.shared.submit(stream, feeds)
-    }
-
-    /// Closes a stream. Pending rows still complete; the stream retires
-    /// (slot dropped) once drained.
-    pub fn close(&self, stream: u64) {
-        self.shared.close(stream);
-    }
-
-    /// Hard-closes every stream with [`ExecError::StreamClosed`]
-    /// carrying `reason` and rejects all future use — the replica is
-    /// going away. Synchronous: pending completions are delivered and
-    /// slots dropped before this returns.
-    pub(crate) fn close_all(&self, reason: &str) {
-        {
-            let mut st = self.shared.state.lock();
-            st.mode = Mode::Closed(reason.to_string());
-            self.shared.hard_close(&mut st, reason);
+        if let Some(why) = why {
+            self.streams.insert(slot, Entry::Closed(why));
         }
-        self.shared.cv.notify_all();
-    }
-}
-
-impl Drop for ContinuousBatcher {
-    fn drop(&mut self) {
-        {
-            let mut st = self.shared.state.lock();
-            if matches!(st.mode, Mode::Running) {
-                st.mode = Mode::Draining;
-            }
-        }
-        self.shared.cv.notify_all();
-        if let Some(t) = self.thread.take() {
-            let _ = t.join();
-        }
-    }
-}
-
-impl StreamShared {
-    fn open(&self, deadline: Option<Instant>) -> Result<u64> {
-        let m = &self.metrics;
-        let slot = {
-            let mut st = self.state.lock();
-            match &st.mode {
-                Mode::Running => {}
-                Mode::Draining => {
-                    return Err(ExecError::Cancelled(STREAM_SHUTDOWN_MSG.into()));
-                }
-                Mode::Closed(r) => return Err(ExecError::StreamClosed(r.clone())),
-            }
-            if st.order.len() >= self.spec.max_streams {
-                m.streams_rejected.fetch_add(1, Ordering::Relaxed);
-                return Err(ExecError::Overloaded(format!(
-                    "model '{}' already serves {} of {} streams",
-                    self.name,
-                    st.order.len(),
-                    self.spec.max_streams
-                )));
-            }
-            let rm = self.session.resources();
-            let slot = rm.stream_create();
-            for (cell, dims) in &self.spec.state_cells {
-                let mut row = vec![1];
-                row.extend(dims);
-                if let Err(e) = rm.stream_init_cell(slot, cell, Tensor::zeros(DType::F32, &row)) {
-                    rm.stream_drop(slot);
-                    return Err(ExecError::Internal(format!(
-                        "initializing stream state cell '{cell}': {e}"
-                    )));
-                }
-            }
-            st.streams.insert(
-                slot,
-                Entry::Live(LiveStream { pending: VecDeque::new(), deadline, closing: false }),
-            );
-            st.order.push(slot);
-            m.streams_opened.fetch_add(1, Ordering::Relaxed);
-            m.active_streams.fetch_add(1, Ordering::Relaxed);
-            slot
-        };
-        // Wake the worker so a fresh deadline enters its park target.
-        self.cv.notify_all();
-        Ok(slot)
-    }
-
-    fn submit(&self, stream: u64, feeds: HashMap<String, Tensor>) -> Result<StreamTicket> {
-        let m = &self.metrics;
-        let rows = self.signature.validate(&feeds).inspect_err(|_| {
-            m.rejected_shape.fetch_add(1, Ordering::Relaxed);
-        })?;
-        // Pre-split into per-row feeds outside the lock; the gather path
-        // then only clones tensor handles.
-        let mut row_feeds: Vec<Vec<Tensor>> = vec![Vec::new(); rows];
-        for spec in &self.signature.feeds {
-            let t = feeds.get(&spec.name).expect("validated above");
-            let parts = t.split0(&vec![1; rows]).map_err(|e| {
-                ExecError::Internal(format!("splitting stream feed '{}': {e}", spec.name))
-            })?;
-            for (i, p) in parts.into_iter().enumerate() {
-                row_feeds[i].push(p);
-            }
-        }
-        let (tx, rx) = oneshot::channel();
-        {
-            let mut st = self.state.lock();
-            match &st.mode {
-                Mode::Running => {}
-                Mode::Draining => {
-                    return Err(ExecError::Cancelled(STREAM_SHUTDOWN_MSG.into()));
-                }
-                Mode::Closed(r) => return Err(ExecError::StreamClosed(r.clone())),
-            }
-            let queued = st.queued_rows;
-            let entry = st.streams.get_mut(&stream).ok_or_else(|| {
-                ExecError::StreamClosed(format!("no stream {stream} on model '{}'", self.name))
-            })?;
-            let live = match entry {
-                Entry::Closed(r) => return Err(ExecError::StreamClosed(r.clone())),
-                Entry::Live(s) => s,
-            };
-            if live.closing {
-                return Err(ExecError::StreamClosed("stream closed by the client".into()));
-            }
-            if queued + rows > self.spec.queue_capacity {
-                m.rejected_overload.fetch_add(1, Ordering::Relaxed);
-                return Err(ExecError::Overloaded(format!(
-                    "model '{}' stream queue is full ({queued} of {} rows)",
-                    self.name, self.spec.queue_capacity
-                )));
-            }
-            live.pending.push_back(Chunk {
-                row_feeds,
-                acc: vec![Vec::new(); self.signature.fetches.len()],
-                next_row: 0,
-                enqueued: Instant::now(),
-                first_gather: None,
-                tx,
-            });
-            st.queued_rows += rows;
-            m.queued_rows.fetch_add(rows as u64, Ordering::Relaxed);
-        }
-        m.submitted.fetch_add(1, Ordering::Relaxed);
-        m.stream_submits.fetch_add(1, Ordering::Relaxed);
-        self.cv.notify_all();
-        Ok(StreamTicket { rx })
-    }
-
-    fn close(&self, stream: u64) {
-        {
-            let mut st = self.state.lock();
-            match st.streams.get_mut(&stream) {
-                None => {}
-                Some(Entry::Closed(_)) => {
-                    // The handle is gone; nobody will ask why it closed.
-                    st.streams.remove(&stream);
-                }
-                Some(Entry::Live(live)) => {
-                    if live.pending.is_empty() {
-                        self.retire_live(&mut st, stream);
-                    } else {
-                        live.closing = true;
-                    }
-                }
-            }
-        }
-        self.cv.notify_all();
-    }
-
-    /// Removes a drained live stream entirely: drop the slot, free the
-    /// order entry, bump retire counters. Caller holds the lock.
-    fn retire_live(&self, st: &mut StreamsState, slot: u64) {
-        st.streams.remove(&slot);
-        st.order.retain(|&x| x != slot);
-        self.session.resources().stream_drop(slot);
-        self.metrics.streams_retired.fetch_add(1, Ordering::Relaxed);
-        self.metrics.active_streams.fetch_sub(1, Ordering::Relaxed);
+        live.pending
     }
 
     /// Expires past-deadline streams (failing their pending rows) and
     /// retires drained closing streams. Runs between iterations.
-    fn sweep(&self, st: &mut StreamsState, now: Instant) {
-        let m = &self.metrics;
-        let expired: Vec<u64> = st
+    pub(crate) fn sweep(&mut self, now: Instant, b: &Shared) {
+        let m = &b.metrics;
+        let expired: Vec<(u64, Instant)> = self
             .order
             .iter()
-            .copied()
-            .filter(|slot| {
-                matches!(st.streams.get(slot),
-                    Some(Entry::Live(s)) if s.deadline.is_some_and(|d| d <= now))
+            .filter_map(|slot| match self.streams.get(slot) {
+                Some(Entry::Live(s)) => s.deadline.filter(|d| *d <= now).map(|d| (*slot, d)),
+                _ => None,
             })
             .collect();
-        for slot in expired {
-            let Some(Entry::Live(live)) = st.streams.remove(&slot) else { continue };
-            st.order.retain(|&x| x != slot);
-            self.session.resources().stream_drop(slot);
+        for (slot, deadline) in expired {
             m.streams_expired.fetch_add(1, Ordering::Relaxed);
-            m.streams_retired.fetch_add(1, Ordering::Relaxed);
-            m.active_streams.fetch_sub(1, Ordering::Relaxed);
-            let deadline = live.deadline.expect("filtered on deadline");
-            for chunk in live.pending {
-                let remaining = chunk.rows() - chunk.next_row;
-                st.queued_rows -= remaining;
-                m.queued_rows.fetch_sub(remaining as u64, Ordering::Relaxed);
+            for chunk in self.retire(slot, Some("stream deadline exceeded".into()), b) {
                 m.expired.fetch_add(1, Ordering::Relaxed);
                 chunk.tx.send(Err(ExecError::DeadlineExceeded {
                     waited: now.saturating_duration_since(chunk.enqueued),
                     past_deadline: now.saturating_duration_since(deadline),
                 }));
             }
-            st.streams.insert(slot, Entry::Closed("stream deadline exceeded".into()));
         }
-        let drained: Vec<u64> = st
+        let drained: Vec<u64> = self
             .order
             .iter()
             .copied()
             .filter(|slot| {
-                matches!(st.streams.get(slot),
+                matches!(self.streams.get(slot),
                     Some(Entry::Live(s)) if s.closing && s.pending.is_empty())
             })
             .collect();
         for slot in drained {
-            self.retire_live(st, slot);
+            self.retire(slot, None, b);
         }
     }
 
-    /// `(eligible streams, oldest unstarted front chunk, any mid-chunk)`
-    /// — the dispatch/linger signals. Caller holds the lock.
-    fn readiness(&self, st: &StreamsState) -> (usize, Option<Instant>, bool) {
+    /// Live streams with an ungathered row, in admission order, with
+    /// their front chunk.
+    fn eligible(&self) -> impl Iterator<Item = (u64, &Chunk)> {
+        self.order.iter().filter_map(|&slot| match self.streams.get(&slot) {
+            Some(Entry::Live(s)) => {
+                s.pending.front().filter(|c| c.next_row < c.rows()).map(|c| (slot, c))
+            }
+            _ => None,
+        })
+    }
+
+    /// Streams linger for co-batchable rows only while no stream is
+    /// part-way through a chunk and the row cap is not reached.
+    pub(crate) fn readiness(&self) -> Readiness {
         let mut n = 0;
         let mut oldest: Option<Instant> = None;
         let mut started = false;
-        for slot in &st.order {
-            let Some(Entry::Live(s)) = st.streams.get(slot) else { continue };
-            let Some(c) = s.pending.front() else { continue };
-            if c.next_row >= c.rows() {
-                continue;
-            }
+        for (_, c) in self.eligible() {
             n += 1;
             if c.first_gather.is_some() {
                 started = true;
@@ -668,15 +401,20 @@ impl StreamShared {
                 oldest = Some(oldest.map_or(c.enqueued, |o: Instant| o.min(c.enqueued)));
             }
         }
-        (n, oldest, started)
+        Readiness {
+            ready: n > 0,
+            urgent: started || n >= self.spec.max_iteration_rows,
+            linger_until: oldest.map(|o| o + self.spec.iteration_delay),
+            deadline: self.earliest_deadline(),
+        }
     }
 
     /// Earliest deadline across live streams (pending or idle — an idle
     /// expired stream must still be retired promptly).
-    fn earliest_deadline(&self, st: &StreamsState) -> Option<Instant> {
-        st.order
+    fn earliest_deadline(&self) -> Option<Instant> {
+        self.order
             .iter()
-            .filter_map(|slot| match st.streams.get(slot) {
+            .filter_map(|slot| match self.streams.get(slot) {
                 Some(Entry::Live(s)) => s.deadline,
                 _ => None,
             })
@@ -684,32 +422,27 @@ impl StreamShared {
     }
 
     /// Takes one row from each eligible stream (rotating past the row
-    /// cap), consuming queue accounting. Caller holds the lock and has
-    /// established at least one eligible stream.
-    fn gather(&self, st: &mut StreamsState, now: Instant) -> Iteration {
-        let eligible: Vec<u64> = st
-            .order
-            .iter()
-            .copied()
-            .filter(|slot| {
-                matches!(st.streams.get(slot),
-                    Some(Entry::Live(s)) if s.pending.front().is_some_and(|c| c.next_row < c.rows()))
-            })
-            .collect();
+    /// cap), consuming queue accounting.
+    pub(crate) fn take(&mut self, now: Instant, b: &Shared) -> Option<Taken> {
+        let eligible: Vec<u64> = self.eligible().map(|(slot, _)| slot).collect();
         let cap = self.spec.max_iteration_rows;
         let take: Vec<u64> = if eligible.len() > cap {
-            let start = st.cursor % eligible.len();
+            let start = self.cursor % eligible.len();
             let picked = (0..cap).map(|k| eligible[(start + k) % eligible.len()]).collect();
-            st.cursor = st.cursor.wrapping_add(cap);
+            self.cursor = self.cursor.wrapping_add(cap);
             picked
         } else {
             eligible
         };
-        let m = &self.metrics;
-        let mut rows: Vec<Vec<Tensor>> =
-            vec![Vec::with_capacity(take.len()); self.signature.feeds.len()];
+        if take.is_empty() {
+            return None;
+        }
+        let m = &b.metrics;
+        // One part list per step feed: the signature feeds, then slots.
+        let mut parts: Vec<Vec<Tensor>> =
+            vec![Vec::with_capacity(take.len()); b.signature.feeds.len() + 1];
         for slot in &take {
-            let Some(Entry::Live(s)) = st.streams.get_mut(slot) else { continue };
+            let Some(Entry::Live(s)) = self.streams.get_mut(slot) else { continue };
             let chunk = s.pending.front_mut().expect("eligible stream has a front chunk");
             if chunk.first_gather.is_none() {
                 chunk.first_gather = Some(now);
@@ -717,172 +450,27 @@ impl StreamShared {
                     now.saturating_duration_since(chunk.enqueued).as_micros() as u64
                 );
             }
-            for (f, per_feed) in rows.iter_mut().enumerate() {
-                per_feed.push(chunk.row_feeds[chunk.next_row][f].clone());
+            let row = chunk.row_feeds[chunk.next_row].iter().chain([&s.slot_row]);
+            for (per_feed, t) in parts.iter_mut().zip(row) {
+                per_feed.push(t.clone());
             }
             chunk.next_row += 1;
-            st.queued_rows -= 1;
-            m.queued_rows.fetch_sub(1, Ordering::Relaxed);
+            self.queued_rows -= 1;
         }
-        Iteration { slots: take, rows }
-    }
-
-    /// The stream worker: sweep, gather, run one iteration, deliver.
-    fn run_loop(&self) {
-        loop {
-            let iteration = {
-                let mut st = self.state.lock();
-                loop {
-                    let now = Instant::now();
-                    self.sweep(&mut st, now);
-                    if let Mode::Closed(reason) = &st.mode {
-                        let reason = reason.clone();
-                        self.hard_close(&mut st, &reason);
-                        return;
-                    }
-                    let (ready, oldest, started) = self.readiness(&st);
-                    if ready == 0 {
-                        if matches!(st.mode, Mode::Draining) {
-                            // Everything accepted has been served; drop
-                            // the remaining slots and exit.
-                            for slot in std::mem::take(&mut st.order) {
-                                st.streams.remove(&slot);
-                                self.session.resources().stream_drop(slot);
-                                self.metrics.streams_retired.fetch_add(1, Ordering::Relaxed);
-                            }
-                            self.metrics.active_streams.store(0, Ordering::Relaxed);
-                            return;
-                        }
-                        match self.earliest_deadline(&st) {
-                            Some(w) => {
-                                self.cv.wait_until(&mut st, w);
-                            }
-                            None => self.cv.wait(&mut st),
-                        }
-                        continue;
-                    }
-                    // Linger for co-batchable rows — but never stall a
-                    // stream that is already mid-chunk, and never while
-                    // draining.
-                    if ready < self.spec.max_iteration_rows
-                        && !started
-                        && !matches!(st.mode, Mode::Draining)
-                    {
-                        let Some(oldest) = oldest else { break self.gather(&mut st, now) };
-                        let mut wake = oldest + self.spec.iteration_delay;
-                        if let Some(d) = self.earliest_deadline(&st) {
-                            wake = wake.min(d);
-                        }
-                        if now < wake {
-                            self.cv.wait_until(&mut st, wake);
-                            continue;
-                        }
-                    }
-                    break self.gather(&mut st, now);
-                }
-            };
-            if !iteration.slots.is_empty() {
-                self.run_iteration(iteration);
-            }
-        }
-    }
-
-    /// Merges one iteration's rows, runs the tagged step, and scatters
-    /// each signature fetch back to the participating streams.
-    fn run_iteration(&self, iter: Iteration) {
-        let n = iter.slots.len();
-        let mut merged: HashMap<String, Tensor> =
-            HashMap::with_capacity(self.signature.feeds.len() + 1);
-        for (spec, parts) in self.signature.feeds.iter().zip(&iter.rows) {
-            match Tensor::concat0(parts) {
-                Ok(t) => {
-                    merged.insert(spec.name.clone(), t);
-                }
-                Err(e) => {
-                    return self.fail_streams(
-                        &iter.slots,
-                        ExecError::Internal(format!(
-                            "iteration concat of feed '{}' failed after enqueue validation: {e}",
-                            spec.name
-                        )),
-                    );
-                }
-            }
-        }
-        let slot_ids: Vec<i64> = iter.slots.iter().map(|&s| s as i64).collect();
-        match Tensor::from_vec_i64(slot_ids, &[n]) {
-            Ok(t) => {
-                merged.insert(self.spec.slots_feed.clone(), t);
-            }
-            Err(e) => {
-                return self.fail_streams(
-                    &iter.slots,
-                    ExecError::Internal(format!("building stream slots tensor: {e}")),
-                );
-            }
-        }
-
-        let seq = self.iter_seq.fetch_add(1, Ordering::Relaxed);
-        let tag = if self.run_options.tag.is_empty() {
-            format!("{}/iter-{seq}", self.name)
-        } else {
-            format!("{}/iter-{seq}", self.run_options.tag)
-        };
-        let options = self.run_options.clone().with_tag(tag.clone());
-
-        let m = &self.metrics;
+        let n = take.len() as u64;
         m.stream_iterations.fetch_add(1, Ordering::Relaxed);
-        m.stream_rows.fetch_add(n as u64, Ordering::Relaxed);
-        m.record_iteration_rows(n as u64);
-        m.running_rows.fetch_add(n as u64, Ordering::Relaxed);
-        let (result, meta) = self.session.run(&options, &merged, &self.fetches);
-        m.running_rows.fetch_sub(n as u64, Ordering::Relaxed);
-        m.record_step_latency_us(meta.wall.as_micros() as u64);
-        m.retries.fetch_add(meta.retries, Ordering::Relaxed);
-        m.fault_events.fetch_add(meta.fault_events.len() as u64, Ordering::Relaxed);
+        m.stream_rows.fetch_add(n, Ordering::Relaxed);
+        m.record_iteration_rows(n);
+        Some(Taken { parts, rows: vec![1; take.len()], members: Members::Streams(take) })
+    }
 
-        let outputs = match result {
-            Ok(v) => v,
-            Err(e) => {
-                m.steps_failed.fetch_add(1, Ordering::Relaxed);
-                m.consecutive_step_failures.fetch_add(1, Ordering::Relaxed);
-                return self.fail_streams(&iter.slots, e);
-            }
-        };
-        m.consecutive_step_failures.store(0, Ordering::Relaxed);
-
-        // Scatter only the signature fetches; the trailing state fetches
-        // existed to force the writes.
-        let nf = self.signature.fetches.len();
-        let mut sliced: Vec<Vec<Tensor>> = Vec::with_capacity(nf);
-        for (f, out) in outputs.iter().take(nf).enumerate() {
-            if out.shape().is_scalar() || out.shape().dim(0) != n {
-                return self.fail_streams(
-                    &iter.slots,
-                    ExecError::InvalidConfig(format!(
-                        "fetch #{f} of model '{}' is not batch-major: got shape {:?}, \
-                         expected leading dimension {n}",
-                        self.name,
-                        out.shape().dims()
-                    )),
-                );
-            }
-            match out.split0(&vec![1; n]) {
-                Ok(parts) => sliced.push(parts),
-                Err(e) => {
-                    return self.fail_streams(
-                        &iter.slots,
-                        ExecError::Internal(format!("scattering fetch #{f} of an iteration: {e}")),
-                    );
-                }
-            }
-        }
-
-        let mut st = self.state.lock();
-        for (r, &slot) in iter.slots.iter().enumerate() {
-            let Some(Entry::Live(live)) = st.streams.get_mut(&slot) else { continue };
+    /// Appends one iteration's row to each participant's front chunk,
+    /// completing chunks whose every row has been served.
+    pub(crate) fn deliver(&mut self, slots: &[u64], out: &Output, b: &Shared) {
+        for (r, slot) in slots.iter().enumerate() {
+            let Some(Entry::Live(live)) = self.streams.get_mut(slot) else { continue };
             let Some(chunk) = live.pending.front_mut() else { continue };
-            for (f, parts) in sliced.iter().enumerate() {
+            for (f, parts) in out.sliced.iter().enumerate() {
                 chunk.acc[f].push(parts[r].clone());
             }
             if chunk.acc[0].len() < chunk.rows() {
@@ -893,18 +481,18 @@ impl StreamShared {
                 chunk.acc.iter().map(|rows| Tensor::concat0(rows)).collect();
             match outs {
                 Ok(outputs) => {
-                    m.served.fetch_add(1, Ordering::Relaxed);
+                    b.metrics.served.fetch_add(1, Ordering::Relaxed);
                     let first = chunk.first_gather.unwrap_or(chunk.enqueued);
                     chunk.tx.send(Ok(StreamResponse {
                         outputs,
                         rows: chunk.row_feeds.len(),
                         queue_delay: first.saturating_duration_since(chunk.enqueued),
-                        last_step: meta.step,
-                        tag: tag.clone(),
+                        last_step: out.step,
+                        tag: out.tag.clone(),
                     }));
                 }
                 Err(e) => {
-                    m.failed.fetch_add(1, Ordering::Relaxed);
+                    b.metrics.failed.fetch_add(1, Ordering::Relaxed);
                     chunk.tx.send(Err(ExecError::Internal(format!(
                         "reassembling stream outputs: {e}"
                     ))));
@@ -916,48 +504,194 @@ impl StreamShared {
     /// A failed iteration destroys the participating streams: their
     /// state slots may hold a half-applied update, so transparent
     /// continuation is impossible. Pending chunks fail with the step's
-    /// error; the slots are dropped; tombstones make later submits a
-    /// structured [`ExecError::StreamClosed`].
-    fn fail_streams(&self, slots: &[u64], err: ExecError) {
-        let m = &self.metrics;
-        let rm = self.session.resources();
-        let mut st = self.state.lock();
+    /// error; tombstones make later submits a structured
+    /// [`ExecError::StreamClosed`].
+    pub(crate) fn fail(&mut self, slots: &[u64], err: &ExecError, b: &Shared) {
         for &slot in slots {
-            let Some(Entry::Live(live)) = st.streams.remove(&slot) else { continue };
-            st.order.retain(|&x| x != slot);
-            rm.stream_drop(slot);
-            m.streams_retired.fetch_add(1, Ordering::Relaxed);
-            m.active_streams.fetch_sub(1, Ordering::Relaxed);
-            for chunk in live.pending {
-                let remaining = chunk.rows() - chunk.next_row;
-                st.queued_rows -= remaining;
-                m.queued_rows.fetch_sub(remaining as u64, Ordering::Relaxed);
-                m.failed.fetch_add(1, Ordering::Relaxed);
+            let why = format!("a batched iteration failed: {err}");
+            for chunk in self.retire(slot, Some(why), b) {
+                b.metrics.failed.fetch_add(1, Ordering::Relaxed);
                 chunk.tx.send(Err(err.clone()));
             }
-            st.streams.insert(slot, Entry::Closed(format!("a batched iteration failed: {err}")));
         }
     }
 
-    /// Fails every live stream with `StreamClosed(reason)` and clears
-    /// all state. Idempotent; runs under the state lock.
-    fn hard_close(&self, st: &mut StreamsState, reason: &str) {
-        let m = &self.metrics;
-        let rm = self.session.resources();
-        for slot in std::mem::take(&mut st.order) {
-            let Some(Entry::Live(live)) = st.streams.remove(&slot) else { continue };
-            rm.stream_drop(slot);
-            m.streams_retired.fetch_add(1, Ordering::Relaxed);
-            let err = ExecError::StreamClosed(reason.to_string());
-            for chunk in live.pending {
-                m.failed.fetch_add(1, Ordering::Relaxed);
-                chunk.tx.send(Err(err.clone()));
+    /// Fails every live stream with `StreamClosed` and drops every slot:
+    /// the worker is exiting.
+    pub(crate) fn fail_all(&mut self, b: &Shared) {
+        for slot in self.order.clone() {
+            for chunk in self.retire(slot, None, b) {
+                b.metrics.failed.fetch_add(1, Ordering::Relaxed);
+                chunk.tx.send(Err(ExecError::StreamClosed(RETIRED_MSG.into())));
             }
         }
-        st.streams.clear();
-        st.queued_rows = 0;
-        m.queued_rows.store(0, Ordering::Relaxed);
-        m.active_streams.store(0, Ordering::Relaxed);
+        self.streams.clear();
+    }
+}
+
+/// The stream half of the batcher's API, used by [`StreamHandle`] and the
+/// replica router.
+impl Batcher {
+    /// Live streams on this batcher — the signal stream routing compares.
+    pub(crate) fn active_streams(&self) -> u64 {
+        self.shared.metrics.active_streams.load(Ordering::Relaxed)
+    }
+
+    /// Runs `f` on the stream queue, after checking the batcher still
+    /// admits work and serves streams at all.
+    fn with_streams<T>(&self, f: impl FnOnce(&mut StreamQueue) -> Result<T>) -> Result<T> {
+        let b = &self.shared;
+        let mut st = b.state.lock();
+        let mode = st.mode;
+        let Queue::Streams(q) = &mut st.queue else {
+            return Err(ExecError::InvalidConfig(format!(
+                "model '{}' was registered without a stream spec",
+                b.name
+            )));
+        };
+        match mode {
+            Mode::Running => f(q),
+            Mode::Draining => Err(ExecError::Cancelled(SHUTDOWN_MSG.into())),
+            Mode::Closed => Err(ExecError::StreamClosed(RETIRED_MSG.into())),
+        }
+    }
+
+    /// Opens a stream: mints a state slot, zero-initializes every
+    /// declared cell, and admits the stream into the iteration loop.
+    /// Returns the slot id. Rejects with [`ExecError::Overloaded`] at
+    /// the live-stream cap.
+    pub(crate) fn open_stream(&self, deadline: Option<Instant>) -> Result<u64> {
+        let b = &self.shared;
+        let m = &b.metrics;
+        let slot = self.with_streams(|q| {
+            if q.order.len() >= q.spec.max_streams {
+                m.streams_rejected.fetch_add(1, Ordering::Relaxed);
+                return Err(ExecError::Overloaded(format!(
+                    "model '{}' already serves {} of {} streams",
+                    b.name,
+                    q.order.len(),
+                    q.spec.max_streams
+                )));
+            }
+            let rm = b.session.resources();
+            let slot = rm.stream_create();
+            for (cell, dims) in &q.spec.state_cells {
+                let mut row = vec![1];
+                row.extend(dims);
+                if let Err(e) = rm.stream_init_cell(slot, cell, Tensor::zeros(DType::F32, &row)) {
+                    rm.stream_drop(slot);
+                    return Err(ExecError::Internal(format!(
+                        "initializing stream state cell '{cell}': {e}"
+                    )));
+                }
+            }
+            let slot_row = Tensor::from_vec_i64(vec![slot as i64], &[1])
+                .map_err(|e| ExecError::Internal(format!("building stream slot row: {e}")))?;
+            q.streams.insert(
+                slot,
+                Entry::Live(LiveStream {
+                    pending: VecDeque::new(),
+                    deadline,
+                    closing: false,
+                    slot_row,
+                }),
+            );
+            q.order.push(slot);
+            m.streams_opened.fetch_add(1, Ordering::Relaxed);
+            m.active_streams.fetch_add(1, Ordering::Relaxed);
+            Ok(slot)
+        })?;
+        // Wake the worker so a fresh deadline enters its park target.
+        b.cv.notify_all();
+        Ok(slot)
+    }
+
+    /// Validates and enqueues `feeds` (each `[rows] + example_dims`) on
+    /// stream `stream`; the rows are served over `rows` successive
+    /// iterations.
+    pub(crate) fn submit_stream(
+        &self,
+        stream: u64,
+        feeds: HashMap<String, Tensor>,
+    ) -> Result<StreamTicket> {
+        let b = &self.shared;
+        let m = &b.metrics;
+        let rows = b.signature.validate(&feeds).inspect_err(|_| {
+            m.rejected_shape.fetch_add(1, Ordering::Relaxed);
+        })?;
+        // Pre-split into per-row feeds outside the lock; the gather path
+        // then only clones tensor handles.
+        let mut row_feeds: Vec<Vec<Tensor>> = vec![Vec::new(); rows];
+        for spec in &b.signature.feeds {
+            let t = feeds.get(&spec.name).expect("validated above");
+            let parts = t.split0(&vec![1; rows]).map_err(|e| {
+                ExecError::Internal(format!("splitting stream feed '{}': {e}", spec.name))
+            })?;
+            for (i, p) in parts.into_iter().enumerate() {
+                row_feeds[i].push(p);
+            }
+        }
+        let (tx, rx) = oneshot::channel();
+        self.with_streams(|q| {
+            let queued = q.queued_rows;
+            let entry = q.streams.get_mut(&stream).ok_or_else(|| {
+                ExecError::StreamClosed(format!("no stream {stream} on model '{}'", b.name))
+            })?;
+            let live = match entry {
+                Entry::Closed(r) => return Err(ExecError::StreamClosed(r.clone())),
+                Entry::Live(s) => s,
+            };
+            if live.closing {
+                return Err(ExecError::StreamClosed("stream closed by the client".into()));
+            }
+            if queued + rows > q.spec.queue_capacity {
+                m.rejected_overload.fetch_add(1, Ordering::Relaxed);
+                return Err(ExecError::Overloaded(format!(
+                    "model '{}' stream queue is full ({queued} of {} rows)",
+                    b.name, q.spec.queue_capacity
+                )));
+            }
+            live.pending.push_back(Chunk {
+                row_feeds,
+                acc: vec![Vec::new(); b.signature.fetches.len()],
+                next_row: 0,
+                enqueued: Instant::now(),
+                first_gather: None,
+                tx,
+            });
+            q.queued_rows += rows;
+            m.queued_rows.fetch_add(rows as u64, Ordering::Relaxed);
+            Ok(())
+        })?;
+        m.submitted.fetch_add(1, Ordering::Relaxed);
+        m.stream_submits.fetch_add(1, Ordering::Relaxed);
+        b.cv.notify_all();
+        Ok(StreamTicket { rx })
+    }
+
+    /// Closes a stream. Pending rows still complete; the stream retires
+    /// (slot dropped) once drained.
+    pub(crate) fn close_stream(&self, stream: u64) {
+        let b = &self.shared;
+        {
+            let mut st = b.state.lock();
+            let Queue::Streams(q) = &mut st.queue else { return };
+            match q.streams.get_mut(&stream) {
+                None => {}
+                Some(Entry::Closed(_)) => {
+                    // The handle is gone; nobody will ask why it closed.
+                    q.streams.remove(&stream);
+                }
+                Some(Entry::Live(live)) => {
+                    if live.pending.is_empty() {
+                        q.retire(stream, None, b);
+                    } else {
+                        live.closing = true;
+                    }
+                }
+            }
+        }
+        b.cv.notify_all();
     }
 }
 
@@ -966,7 +700,7 @@ impl StreamShared {
 /// [`crate::ModelHandle::open_stream`]. Dropping the handle closes the
 /// stream (pending rows still complete).
 pub struct StreamHandle {
-    worker: Arc<ContinuousBatcher>,
+    worker: Arc<Batcher>,
     stream: u64,
 }
 
@@ -977,7 +711,7 @@ impl std::fmt::Debug for StreamHandle {
 }
 
 impl StreamHandle {
-    pub(crate) fn attach(worker: Arc<ContinuousBatcher>, stream: u64) -> StreamHandle {
+    pub(crate) fn attach(worker: Arc<Batcher>, stream: u64) -> StreamHandle {
         StreamHandle { worker, stream }
     }
 
@@ -990,7 +724,7 @@ impl StreamHandle {
     /// decoded over `rows` successive iterations against this stream's
     /// state.
     pub fn submit(&self, feeds: HashMap<String, Tensor>) -> Result<StreamTicket> {
-        self.worker.submit(self.stream, feeds)
+        self.worker.submit_stream(self.stream, feeds)
     }
 
     /// [`StreamHandle::submit`] then block for the response.
@@ -1005,13 +739,14 @@ impl StreamHandle {
 
 impl Drop for StreamHandle {
     fn drop(&mut self) {
-        self.worker.close(self.stream);
+        self.worker.close_stream(self.stream);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::BatchPolicy;
     use dcf_graph::GraphBuilder;
     use dcf_runtime::Session;
 
@@ -1019,7 +754,7 @@ mod tests {
     /// the per-stream cell — the smallest model whose outputs prove
     /// state stickiness (each response depends on the stream's whole
     /// history).
-    fn acc_batcher(spec: StreamSpec) -> ContinuousBatcher {
+    fn acc_batcher(spec: StreamSpec) -> Batcher {
         let mut b = GraphBuilder::new();
         let x = b.placeholder("x", DType::F32);
         let slots = b.placeholder("slots", DType::I64);
@@ -1029,7 +764,7 @@ mod tests {
         let sig = ModelSignature::new().feed("x", DType::F32, &[1]).fetch(y);
         let spec = spec.with_cell("acc", &[1]).with_state_fetch(w);
         let sess = Arc::new(Session::local(b.finish().unwrap()).unwrap());
-        ContinuousBatcher::new("acc", sess, sig, spec, RunOptions::default()).unwrap()
+        Batcher::start("acc".into(), sess, sig, BatchPolicy::default(), Some(spec)).unwrap()
     }
 
     fn rows(vals: &[f32]) -> HashMap<String, Tensor> {
@@ -1041,14 +776,14 @@ mod tests {
     #[test]
     fn streams_are_sticky_and_transparent() {
         let cb = acc_batcher(StreamSpec::new("slots"));
-        let a = cb.open(None).unwrap();
-        let b = cb.open(None).unwrap();
+        let a = cb.open_stream(None).unwrap();
+        let b = cb.open_stream(None).unwrap();
         assert_eq!(cb.active_streams(), 2);
 
         // Both streams in flight together; each must see only its own
         // running sum whatever batches they shared.
-        let ta = cb.submit(a, rows(&[1.0, 2.0, 3.0])).unwrap();
-        let tb = cb.submit(b, rows(&[10.0])).unwrap();
+        let ta = cb.submit_stream(a, rows(&[1.0, 2.0, 3.0])).unwrap();
+        let tb = cb.submit_stream(b, rows(&[10.0])).unwrap();
         let ra = ta.wait().unwrap();
         assert_eq!(ra.rows, 3);
         assert_eq!(ra.outputs[0].as_f32_slice().unwrap(), &[1.0, 3.0, 6.0]);
@@ -1057,7 +792,7 @@ mod tests {
         assert_eq!(rb.outputs[0].as_f32_slice().unwrap(), &[10.0]);
 
         // State persists across submits: stream b continues from 10.
-        let rb2 = cb.submit(b, rows(&[20.0])).unwrap().wait().unwrap();
+        let rb2 = cb.submit_stream(b, rows(&[20.0])).unwrap().wait().unwrap();
         assert_eq!(rb2.outputs[0].as_f32_slice().unwrap(), &[30.0]);
 
         let m = cb.metrics();
@@ -1065,8 +800,8 @@ mod tests {
         assert_eq!(m.stream_rows.load(Ordering::Relaxed), 5);
         assert_eq!(m.served.load(Ordering::Relaxed), 3);
 
-        cb.close(a);
-        cb.close(b);
+        cb.close_stream(a);
+        cb.close_stream(b);
         assert_eq!(cb.active_streams(), 0);
         assert_eq!(m.streams_retired.load(Ordering::Relaxed), 2);
     }
@@ -1074,28 +809,34 @@ mod tests {
     #[test]
     fn overload_and_closed_are_structured() {
         let cb = acc_batcher(StreamSpec::new("slots").with_max_streams(1).with_queue_capacity(2));
-        let a = cb.open(None).unwrap();
-        assert!(matches!(cb.open(None).unwrap_err(), ExecError::Overloaded(_)));
+        let a = cb.open_stream(None).unwrap();
+        assert!(matches!(cb.open_stream(None).unwrap_err(), ExecError::Overloaded(_)));
         assert_eq!(cb.metrics().streams_rejected.load(Ordering::Relaxed), 1);
         // Queue bound is in rows.
         assert!(matches!(
-            cb.submit(a, rows(&[1.0, 2.0, 3.0])).unwrap_err(),
+            cb.submit_stream(a, rows(&[1.0, 2.0, 3.0])).unwrap_err(),
             ExecError::Overloaded(_)
         ));
         // A closed stream rejects with StreamClosed; an unknown slot too.
-        cb.close(a);
-        assert!(matches!(cb.submit(a, rows(&[1.0])).unwrap_err(), ExecError::StreamClosed(_)));
-        assert!(matches!(cb.submit(999, rows(&[1.0])).unwrap_err(), ExecError::StreamClosed(_)));
+        cb.close_stream(a);
+        assert!(matches!(
+            cb.submit_stream(a, rows(&[1.0])).unwrap_err(),
+            ExecError::StreamClosed(_)
+        ));
+        assert!(matches!(
+            cb.submit_stream(999, rows(&[1.0])).unwrap_err(),
+            ExecError::StreamClosed(_)
+        ));
     }
 
     #[test]
     fn deadline_retires_the_stream() {
         let cb = acc_batcher(StreamSpec::new("slots"));
-        let s = cb.open(Some(Instant::now() + Duration::from_millis(5))).unwrap();
+        let s = cb.open_stream(Some(Instant::now() + Duration::from_millis(5))).unwrap();
         std::thread::sleep(Duration::from_millis(10));
         // Whether the sweep beat the submit or not, the outcome is
         // structured: the pending rows expire or the submit is rejected.
-        match cb.submit(s, rows(&[1.0])) {
+        match cb.submit_stream(s, rows(&[1.0])) {
             Ok(t) => match t.wait() {
                 Err(ExecError::DeadlineExceeded { .. }) | Err(ExecError::StreamClosed(_)) => {}
                 other => panic!("expired stream returned {other:?}"),
@@ -1111,37 +852,43 @@ mod tests {
             std::thread::sleep(Duration::from_millis(2));
         }
         assert_eq!(cb.metrics().streams_expired.load(Ordering::Relaxed), 1);
-        assert!(matches!(cb.submit(s, rows(&[1.0])).unwrap_err(), ExecError::StreamClosed(_)));
+        assert!(matches!(
+            cb.submit_stream(s, rows(&[1.0])).unwrap_err(),
+            ExecError::StreamClosed(_)
+        ));
     }
 
     #[test]
     fn dropping_the_batcher_drains_pending_rows() {
         let cb = acc_batcher(StreamSpec::new("slots"));
-        let s = cb.open(None).unwrap();
-        let t = cb.submit(s, rows(&[1.0, 2.0, 3.0])).unwrap();
+        let s = cb.open_stream(None).unwrap();
+        let t = cb.submit_stream(s, rows(&[1.0, 2.0, 3.0])).unwrap();
         drop(cb); // Drain: accepted rows complete, then the worker exits.
         let r = t.wait().unwrap();
         assert_eq!(r.outputs[0].as_f32_slice().unwrap(), &[1.0, 3.0, 6.0]);
     }
 
     #[test]
-    fn close_all_fails_streams_with_stream_closed() {
+    fn closing_the_batcher_fails_streams_with_stream_closed() {
         let cb = acc_batcher(StreamSpec::new("slots").with_iteration_delay(Duration::from_secs(5)));
-        let s = cb.open(None).unwrap();
+        let s = cb.open_stream(None).unwrap();
         // Long linger so the rows are still queued when the axe falls.
-        let extra = cb.submit(s, rows(&[1.0, 2.0])).unwrap();
-        cb.close_all("replica retired");
+        let extra = cb.submit_stream(s, rows(&[1.0, 2.0])).unwrap();
+        cb.close();
         match extra.wait() {
             // The worker may have gathered the first row before the
             // close; either way the ticket resolves with StreamClosed.
             Err(ExecError::StreamClosed(r)) => assert!(r.contains("replica retired"), "{r}"),
             other => {
-                let err = other.expect_err("close_all must fail pending submissions");
+                let err = other.expect_err("close must fail pending submissions");
                 panic!("expected StreamClosed, got {err}");
             }
         }
-        assert!(matches!(cb.open(None).unwrap_err(), ExecError::StreamClosed(_)));
-        assert!(matches!(cb.submit(s, rows(&[1.0])).unwrap_err(), ExecError::StreamClosed(_)));
+        assert!(matches!(cb.open_stream(None).unwrap_err(), ExecError::StreamClosed(_)));
+        assert!(matches!(
+            cb.submit_stream(s, rows(&[1.0])).unwrap_err(),
+            ExecError::StreamClosed(_)
+        ));
         assert_eq!(cb.active_streams(), 0);
     }
 

@@ -16,8 +16,8 @@
 //! * [`autodiff`] — [`autodiff::gradients`].
 //! * [`runtime`] — [`runtime::Session`], [`runtime::Cluster`], network
 //!   simulation.
-//! * [`device`] — simulated device profiles, allocator, and kernel
-//!   timeline.
+//! * [`device`] — simulated device profiles, allocator, streams, and
+//!   per-step stats.
 //! * [`exec`] — the tagged-token executor (mostly used via the session).
 //! * [`ml`] — LSTM / dynamic_rnn / MoE / DQN reference models.
 //! * [`serve`] — the dynamic-batching serving frontend:
@@ -26,9 +26,9 @@
 //!   queue-delay-driven autoscaling) over per-replica [`serve::Batcher`]s,
 //!   admission control, serving metrics, and streaming stateful
 //!   inference: sticky [`serve::StreamHandle`] sessions whose in-graph
-//!   state persists across submits, continuously batched by a
-//!   [`serve::ContinuousBatcher`] that admits and retires streams between
-//!   decode iterations.
+//!   state persists across submits, continuously batched by a stream
+//!   model's batchers, which admit and retire streams between decode
+//!   iterations.
 //!
 //! # Quickstart
 //!

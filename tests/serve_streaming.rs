@@ -203,6 +203,32 @@ fn stream_lifecycle_is_structured() {
     let plain = reg.register("plain", ModelSpec::local(graph, sig)).unwrap();
     assert!(matches!(plain.open_stream().unwrap_err(), ExecError::InvalidConfig(_)));
 
+    // The mirror: a stream model rejects stateless requests up front. They
+    // must never reach a step (which would fail for want of the slots
+    // feed), count toward eviction, or disturb a live stream.
+    let (graph, sig, spec) = streaming_model();
+    let streamed =
+        reg.register("streamed", ModelSpec::local(graph, sig).with_stream(spec)).unwrap();
+    let mut rng = TensorRng::new(3);
+    let steps = 4usize;
+    let seq = rng.uniform(&[steps, INPUT], -1.0, 1.0);
+    let live = streamed.open_stream().unwrap();
+    let mut got = vec![live.send(x_rows(&seq, steps, 0, 1)).unwrap().outputs.remove(0)];
+    for i in 0..4 {
+        let err = streamed.serve(Request::new(x_rows(&seq, steps, i, i + 1))).unwrap_err();
+        assert!(matches!(err, ExecError::InvalidConfig(_)), "serve on a stream model: {err}");
+    }
+    got.push(live.send(x_rows(&seq, steps, 1, steps)).unwrap().outputs.remove(0));
+    let m = streamed.metrics();
+    assert_eq!(m.aggregate.steps_failed, 0, "{m:?}");
+    assert_eq!(m.evicted, 0, "{m:?}");
+    let want = reference_outputs(&seq, steps);
+    assert!(
+        Tensor::concat0(&got).unwrap().value_eq(&want),
+        "a stream must decode exactly while its model rejects requests"
+    );
+    drop(live);
+
     // Per-replica stream cap.
     let (graph, sig, spec) = streaming_model();
     let capped = reg
