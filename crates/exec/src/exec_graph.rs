@@ -4,10 +4,13 @@
 //! into dense, index-addressed arrays built once per (graph, partition):
 //! consumer adjacency (flattened CSR-style), member input counts (the
 //! initial pending counters of every activation), merge classification,
-//! and interned frame names. The per-run code never hashes a `TensorRef`
-//! or clones a frame-name `String`.
+//! interned frame names with their stable hashes, and the integer
+//! [`EdgeKey`] of every Send and Recv. The per-run code never hashes a
+//! `TensorRef`, formats a rendezvous key, or clones a frame-name `String`.
 
+use crate::frame::frame_name_hash;
 use crate::plan::MemoryPlan;
+use crate::rendezvous::EdgeKey;
 use dcf_graph::{Graph, NodeId, OpKind, TensorRef};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -59,7 +62,13 @@ pub struct ExecGraph {
     is_merge: Vec<bool>,
 
     /// Interned frame names, indexed by [`FrameNameId`].
-    frame_names: Vec<String>,
+    frame_names: Vec<Arc<str>>,
+    /// [`frame_name_hash`] of each interned name. The interner's ids are
+    /// local to this partition; the hashes are what every partition agrees
+    /// on.
+    frame_hashes: Vec<u64>,
+    /// Send and Recv nodes' edge keys, parsed once from their `key_base`.
+    edge_keys: Vec<Option<EdgeKey>>,
     /// Member `Enter` nodes per frame name (frame completion accounting).
     enter_counts: Vec<usize>,
     /// `Enter` nodes' interned frame name (`NO_FRAME` otherwise).
@@ -124,8 +133,9 @@ impl ExecGraph {
         let mut fn_params: HashMap<String, Vec<NodeId>> = HashMap::new();
         // The interner is local to this ExecGraph (each compile builds its
         // own table), so concurrent sessions cannot race frame ids.
-        let mut frame_names: Vec<String> = Vec::new();
+        let mut frame_names: Vec<Arc<str>> = Vec::new();
         let mut frame_ids: HashMap<String, FrameNameId> = HashMap::new();
+        let mut edge_keys: Vec<Option<EdgeKey>> = vec![None; n];
         let mut enter_counts: Vec<usize> = Vec::new();
 
         // Consumer edge buckets, keyed by the producer's port slot.
@@ -173,7 +183,7 @@ impl ExecGraph {
                 // argument-injection event is its only expected "enter".
                 let fname = format!("call:{function}@{}", node.id.0);
                 let fid = *frame_ids.entry(fname.clone()).or_insert_with(|| {
-                    frame_names.push(fname.clone());
+                    frame_names.push(fname.as_str().into());
                     enter_counts.push(0);
                     (frame_names.len() - 1) as FrameNameId
                 });
@@ -182,12 +192,15 @@ impl ExecGraph {
             }
             if let OpKind::Enter { frame, .. } = &node.op {
                 let fid = *frame_ids.entry(frame.clone()).or_insert_with(|| {
-                    frame_names.push(frame.clone());
+                    frame_names.push(frame.as_str().into());
                     enter_counts.push(0);
                     (frame_names.len() - 1) as FrameNameId
                 });
                 enter_counts[fid as usize] += 1;
                 enter_name[node.id.0] = fid;
+            }
+            if let OpKind::Send { key_base, .. } | OpKind::Recv { key_base, .. } = &node.op {
+                edge_keys[node.id.0] = Some(EdgeKey::parse(key_base));
             }
             if matches!(node.op, OpKind::Merge) {
                 is_merge[node.id.0] = true;
@@ -214,6 +227,7 @@ impl ExecGraph {
             control_range.push((start, control_flat.len() as u32));
         }
 
+        let frame_hashes = frame_names.iter().map(|name| frame_name_hash(name)).collect();
         Arc::new(ExecGraph {
             graph,
             member,
@@ -230,6 +244,8 @@ impl ExecGraph {
             input_slots,
             is_merge,
             frame_names,
+            frame_hashes,
+            edge_keys,
             enter_counts,
             enter_name,
             call_name,
@@ -291,6 +307,28 @@ impl ExecGraph {
     #[inline]
     pub fn frame_name(&self, fid: FrameNameId) -> &str {
         &self.frame_names[fid as usize]
+    }
+
+    /// The frame name for an interned id, shared (frames keep it to render
+    /// their readable path on demand).
+    #[inline]
+    pub(crate) fn frame_name_arc(&self, fid: FrameNameId) -> &Arc<str> {
+        &self.frame_names[fid as usize]
+    }
+
+    /// The stable hash of an interned frame name (see
+    /// [`crate::FrameKey::child`]); equal on every partition, unlike the
+    /// partition-local `FrameNameId`.
+    #[inline]
+    pub fn frame_hash(&self, fid: FrameNameId) -> u64 {
+        self.frame_hashes[fid as usize]
+    }
+
+    /// The edge key of a member `Send` or `Recv` node (`None` for any
+    /// other node).
+    #[inline]
+    pub fn edge_key(&self, id: NodeId) -> Option<EdgeKey> {
+        self.edge_keys[id.0]
     }
 
     /// Total `Enter` member nodes targeting the named frame (the number of

@@ -13,12 +13,29 @@
 //! the persistent [`WorkerPool`]. The locking discipline (what may be
 //! held when, and why the completion cascade is deadlock-free) is
 //! documented in `DESIGN.md`.
+//!
+//! # Activation hand-off
+//!
+//! A worker that makes successors ready runs the first one that belongs to
+//! its own pool itself, right after the current activation (TensorFlow's
+//! `inline_ready`), and queues the rest for idle workers. Work made ready
+//! on any other thread — a device stream completion, a `Recv` callback
+//! fired on a peer executor's worker, the session thread seeding the
+//! sources — always goes through this executor's queue. Together with
+//! the pool's wake-free channel, a chain of activations on a busy
+//! executor costs no system call.
+//!
+//! The activation path builds no text and, for ops with at most four
+//! inputs, allocates no buffer: input slots and outputs live inline
+//! ([`InlineVec`]), rendezvous keys are integers ([`RendezvousKey`]), and
+//! readable names are rendered only for traces, errors and fault rolls.
 
 use crate::exec_graph::{ExecGraph, FrameNameId};
-use crate::frame::{DeferredToken, Frame, FrameCore, FrameId, NodeInstance, ROOT_FRAME};
+use crate::frame::{DeferredToken, Frame, FrameCore, FrameId, NodeInstance, Slots, ROOT_FRAME};
+use crate::inline::InlineVec;
 use crate::kernels::{execute_op, is_compute_op, op_cost, should_charge};
-use crate::pool::{PoolMsg, Sender, WorkerPool};
-use crate::rendezvous::Rendezvous;
+use crate::pool::{current_pool, PoolMsg, Sender, WorkerPool};
+use crate::rendezvous::{Rendezvous, RendezvousKey};
 use crate::resources::{ResourceManager, SlotEntry, StackRes, StackSlot};
 use crate::token::{Charge, ExecError, Token};
 use crate::Result;
@@ -29,12 +46,24 @@ use dcf_device::{
 use dcf_graph::{NodeId, OpKind, TensorRef};
 use dcf_sync::{Condvar, Mutex};
 use dcf_tensor::{Tensor, TensorRng};
+use std::cell::RefCell;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashMap, HashSet};
+use std::fmt;
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::sync::OnceLock;
+
+/// An activation's output tokens, one per output port; inline for up to
+/// four outputs.
+type Outputs = InlineVec<Token, 4>;
+
+thread_local! {
+    /// The successor this worker runs next, ahead of the shared queue.
+    /// Only ever holds a job of the worker's own pool.
+    static INLINE_JOB: RefCell<Option<Job>> = const { RefCell::new(None) };
+}
 
 /// Debug tracing, enabled with `DCF_TRACE=exec,deliver,stack` (cached so
 /// the per-op cost is one relaxed load).
@@ -167,6 +196,44 @@ struct Job {
     sched_us: u64,
 }
 
+impl Job {
+    fn run(self) {
+        let Job { shared, frame, iter, node, sched_us } = self;
+        shared.execute_node(&frame, iter, node, sched_us);
+    }
+}
+
+/// Renders a transfer's readable rendezvous key on demand:
+/// `{key_base}|{frame path};{iter}`, e.g.
+/// `m0>m1/d0>d1/t12p0|root;0/while_4;3`.
+struct TransferName<'a> {
+    key_base: &'a str,
+    frame: &'a Frame,
+    iter: usize,
+}
+
+impl fmt::Display for TransferName<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{}|{}", self.key_base, self.frame.tag_text(self.iter))
+    }
+}
+
+/// Calls `f` with the values of `tokens` — every slot filled — as one
+/// slice, without allocating for up to four inputs.
+fn with_values<R>(tokens: &mut Slots, f: impl FnOnce(&[&Tensor]) -> R) -> R {
+    match tokens.slots_mut() {
+        [] => f(&[]),
+        [Some(a)] => f(&[&a.value]),
+        [Some(a), Some(b)] => f(&[&a.value, &b.value]),
+        [Some(a), Some(b), Some(c)] => f(&[&a.value, &b.value, &c.value]),
+        [Some(a), Some(b), Some(c), Some(d)] => f(&[&a.value, &b.value, &c.value, &d.value]),
+        slots => {
+            let values: Vec<&Tensor> = slots.iter().flatten().map(|t| &t.value).collect();
+            f(&values)
+        }
+    }
+}
+
 /// Frame registry: maps (parent frame, parent iteration, frame name) to
 /// the live child activation. Held briefly, only on frame creation and
 /// completion — never while delivering tokens.
@@ -186,10 +253,20 @@ struct RunShared {
     table: Mutex<FrameTable>,
     fetched: Mutex<HashMap<(usize, usize), Token>>,
     queue_tx: Sender<PoolMsg<Job>>,
+    /// Id of the executor's worker pool: a job may run inline only on a
+    /// worker of this pool.
+    pool_id: usize,
     outstanding: AtomicI64,
     ops: AtomicU64,
     done: Mutex<Option<Result<()>>>,
     done_cv: Condvar,
+    /// Set (before `done`) when the run fails; read lock-free on every
+    /// activation.
+    failed: AtomicBool,
+    /// Rendezvous calls in progress. A failed run waits for zero before
+    /// returning, so no Send or Recv of this step reaches the rendezvous
+    /// after the session tears the step down.
+    rendezvous_calls: AtomicUsize,
     cancel: Option<Arc<crate::token::CancelToken>>,
     /// Lock-free mirror of `cancel` threaded into device kernel
     /// submissions, so stream threads can cut modeled waits short the
@@ -220,8 +297,15 @@ impl Executor {
         options: ExecutorOptions,
     ) -> Executor {
         let pool = WorkerPool::new("dcf-exec", options.workers, |job: Job| {
-            let Job { shared, frame, iter, node, sched_us } = job;
-            shared.execute_node(&frame, iter, node, sched_us);
+            let mut next = Some(job);
+            while let Some(job) = next {
+                job.run();
+                next = INLINE_JOB.with(|slot| slot.borrow_mut().take());
+                debug_assert!(
+                    next.as_ref().is_none_or(|j| j.shared.pool_id == current_pool()),
+                    "inline job of a foreign pool"
+                );
+            }
         });
         Executor { eg, device, resources, rendezvous, options, pool }
     }
@@ -253,13 +337,29 @@ impl Executor {
 
     /// The full-control run entry point: feeds by `Arc`, plus a
     /// [`RunConfig`] carrying cancellation, step-stats collection, and an
-    /// optional deadline. All other run methods are wrappers around this.
+    /// optional deadline. All other run methods are wrappers around this;
+    /// it is [`Executor::start`] followed by [`RunHandle::wait`].
     pub fn run_with(
         &self,
         feeds: Arc<HashMap<String, Tensor>>,
         fetches: &[TensorRef],
         config: RunConfig,
     ) -> Result<RunOutcome> {
+        self.start(feeds, fetches, config)?.wait()
+    }
+
+    /// Starts a run without blocking: seeds the sources on the worker pool
+    /// and returns a handle to wait on. A caller driving several
+    /// partitions starts them all from one thread and then waits for each,
+    /// so a step needs no thread of its own per partition. If the run
+    /// cannot start (its memory-plan reservation fails), `config.cancel`
+    /// fires so peer partitions abort instead of waiting on it.
+    pub fn start(
+        &self,
+        feeds: Arc<HashMap<String, Tensor>>,
+        fetches: &[TensorRef],
+        config: RunConfig,
+    ) -> Result<RunHandle> {
         let RunConfig { cancel, collector, timeout, step, max_frame_depth } = config;
         let fetch_set: HashSet<(usize, usize)> =
             fetches.iter().map(|t| (t.node.0, t.port)).collect();
@@ -268,11 +368,22 @@ impl Executor {
         // run, so a planned step pays exactly one allocator round-trip.
         let region_charge = match self.eg.plan.region_bytes() {
             0 => None,
-            bytes => Some(Charge::new_retrying(
-                self.device.allocator(),
-                bytes,
-                self.options.oom_patience,
-            )?),
+            bytes => {
+                match Charge::new_retrying(
+                    self.device.allocator(),
+                    bytes,
+                    self.options.oom_patience,
+                ) {
+                    Ok(charge) => Some(charge),
+                    Err(e) => {
+                        let e = ExecError::from(e);
+                        if let Some(token) = &cancel {
+                            token.fire(e.clone());
+                        }
+                        return Err(e);
+                    }
+                }
+            }
         };
         let root = Frame::root();
         let shared = Arc::new(RunShared {
@@ -286,10 +397,13 @@ impl Executor {
             table: Mutex::new(FrameTable { index: HashMap::new(), next: ROOT_FRAME + 1 }),
             fetched: Mutex::new(HashMap::new()),
             queue_tx: self.pool.sender(),
+            pool_id: self.pool.id(),
             outstanding: AtomicI64::new(0),
             ops: AtomicU64::new(0),
             done: Mutex::new(None),
             done_cv: Condvar::new(),
+            failed: AtomicBool::new(false),
+            rendezvous_calls: AtomicUsize::new(0),
             cancel_flag: cancel.as_ref().map(|t| t.flag()),
             cancel: cancel.clone(),
             step,
@@ -307,6 +421,8 @@ impl Executor {
             }));
         }
 
+        // The deadline runs from the start of the run.
+        let deadline = timeout.map(|t| (t, std::time::Instant::now() + t));
         // Seed the root sources; the persistent pool starts draining
         // immediately.
         {
@@ -318,9 +434,24 @@ impl Executor {
         if shared.outstanding.load(Ordering::SeqCst) == 0 {
             shared.complete(Ok(()));
         }
+        Ok(RunHandle { shared, root, fetches: fetches.to_vec(), deadline })
+    }
+}
 
+/// A started run; see [`Executor::start`].
+pub struct RunHandle {
+    shared: Arc<RunShared>,
+    root: Arc<Frame>,
+    fetches: Vec<TensorRef>,
+    deadline: Option<(std::time::Duration, std::time::Instant)>,
+}
+
+impl RunHandle {
+    /// Blocks until the run completes, fails, or passes its deadline, and
+    /// returns the fetched tensors in request order.
+    pub fn wait(self) -> Result<RunOutcome> {
+        let RunHandle { shared, root, fetches, deadline } = self;
         // Wait for completion, enforcing the deadline if one was given.
-        let deadline = timeout.map(|t| (t, std::time::Instant::now() + t));
         let result = {
             let mut done = shared.done.lock();
             while done.is_none() {
@@ -350,12 +481,21 @@ impl Executor {
             })
         };
 
+        if result.is_err() {
+            // Activations of a failed run drain as no-ops, but one may be
+            // inside a Send or Recv that passed its failure check: let it
+            // leave the rendezvous before the caller tears the step down.
+            while shared.rendezvous_calls.load(Ordering::SeqCst) != 0 {
+                std::thread::yield_now();
+            }
+        }
+
         // The root frame never "completes" through the window logic, so
         // its stats are recorded here, after quiescence (or failure).
         if let Some(dc) = &shared.collector {
             let core = root.core.lock();
             dc.frame(FrameStats {
-                frame: root.base_tag.clone(),
+                frame: root.path().to_string(),
                 iterations: core.started as u64,
                 dead_tokens: core.dead_tokens,
             });
@@ -365,16 +505,16 @@ impl Executor {
         // Collect fetches.
         let fetched = shared.fetched.lock();
         let mut values = Vec::with_capacity(fetches.len());
-        for t in fetches {
+        for t in &fetches {
             match fetched.get(&(t.node.0, t.port)) {
                 Some(tok) if !tok.is_dead => values.push(tok.value.clone()),
                 Some(_) => {
-                    return Err(ExecError::DeadFetch(self.eg.graph.node(t.node).name.clone()))
+                    return Err(ExecError::DeadFetch(shared.eg.graph.node(t.node).name.clone()))
                 }
                 None => {
                     return Err(ExecError::BadFeedOrFetch(format!(
                         "fetch {} was never produced (is it in the root context?)",
-                        self.eg.graph.node(t.node).name
+                        shared.eg.graph.node(t.node).name
                     )))
                 }
             }
@@ -404,13 +544,26 @@ impl RunShared {
         }
         self.outstanding.fetch_add(1, Ordering::SeqCst);
         let sched_us = self.collector.as_ref().map(|dc| dc.now_us()).unwrap_or(0);
-        let _ = self.queue_tx.send(PoolMsg::Job(Job {
-            shared: self.clone(),
-            frame: frame.clone(),
-            iter: i,
-            node,
-            sched_us,
-        }));
+        let job = Job { shared: self.clone(), frame: frame.clone(), iter: i, node, sched_us };
+        // On a worker of this executor's own pool, keep the first ready
+        // successor for this worker to run next; everything else goes to
+        // the shared queue, where idle workers pick it up.
+        let job = if current_pool() == self.pool_id {
+            INLINE_JOB.with(|slot| {
+                let mut slot = slot.borrow_mut();
+                if slot.is_none() {
+                    *slot = Some(job);
+                    None
+                } else {
+                    Some(job)
+                }
+            })
+        } else {
+            Some(job)
+        };
+        if let Some(job) = job {
+            let _ = self.queue_tx.send(PoolMsg::Job(job));
+        }
     }
 
     fn instance<'a>(
@@ -433,11 +586,11 @@ impl RunShared {
             return;
         }
         debug_assert!(!core.done, "new iteration in completed frame {}", frame.id);
-        core.iterations.insert(i, Default::default());
-        core.started = core.started.max(i + 1);
-        // Replay loop constants into the new iteration.
-        let constants = core.constants.clone();
-        for (enter_node, token) in constants {
+        core.start_iteration(i);
+        // Replay loop constants into the new iteration, cloning one token
+        // at a time (delivery needs the core mutably).
+        for k in 0..core.constants.len() {
+            let (enter_node, token) = core.constants[k].clone();
             self.deliver_to_consumers(frame, core, i, enter_node, 0, token);
         }
     }
@@ -507,14 +660,14 @@ impl RunShared {
                 // A loop merge receives exactly one token per iteration
                 // (Enter at 0, NextIteration later); fire on it, live or
                 // dead.
-                inst.data[0] = Some(token);
+                inst.data.slots_mut()[0] = Some(token);
                 true
             } else if !token.is_dead {
-                inst.data[0] = Some(token);
+                inst.data.slots_mut()[0] = Some(token);
                 true
             } else if inst.merge_dead == n_inputs {
                 inst.any_dead = true;
-                inst.data[0] = Some(token);
+                inst.data.slots_mut()[0] = Some(token);
                 true
             } else {
                 false
@@ -527,7 +680,7 @@ impl RunShared {
             }
             return;
         }
-        if inst.scheduled || inst.data.get(slot).map(|s| s.is_some()).unwrap_or(false) {
+        if inst.scheduled || inst.data.slots_mut().get(slot).is_some_and(|s| s.is_some()) {
             self.fail(ExecError::Internal(format!(
                 "double delivery to {} slot {slot} (frame {}, iter {i})",
                 self.eg.graph.node(dst).name,
@@ -536,7 +689,7 @@ impl RunShared {
             return;
         }
         inst.any_dead |= token.is_dead;
-        inst.data[slot] = Some(token);
+        inst.data.slots_mut()[slot] = Some(token);
         inst.pending_data -= 1;
         if inst.pending_data == 0 && inst.pending_control == 0 {
             self.schedule(frame, core, i, dst);
@@ -575,13 +728,37 @@ impl RunShared {
     fn complete(&self, result: Result<()>) {
         let mut done = self.done.lock();
         if done.is_none() {
+            if result.is_err() {
+                self.failed.store(true, Ordering::SeqCst);
+            }
             *done = Some(result);
             self.done_cv.notify_all();
         }
     }
 
     fn is_failed(&self) -> bool {
-        self.done.lock().as_ref().map(|r| r.is_err()).unwrap_or(false)
+        self.failed.load(Ordering::SeqCst)
+    }
+
+    /// Runs `call` — one Send or Recv into the rendezvous — unless the run
+    /// has failed; returns whether it ran. The in-progress count lets a
+    /// failed run wait until no call of its step is still inside the
+    /// rendezvous (see [`Executor::run_with`]): either `call` sees the
+    /// failure flag, or the waiter sees the count.
+    fn rendezvous_call(&self, call: impl FnOnce()) -> bool {
+        self.rendezvous_calls.fetch_add(1, Ordering::SeqCst);
+        let live = !self.is_failed();
+        if live {
+            call();
+        }
+        self.rendezvous_calls.fetch_sub(1, Ordering::SeqCst);
+        live
+    }
+
+    /// The rendezvous key of a Send or Recv activation.
+    fn rendezvous_key(&self, node: NodeId, frame: &Frame, i: usize) -> RendezvousKey {
+        let edge = self.eg.edge_key(node).expect("member Send/Recv nodes have edge keys");
+        RendezvousKey { edge, tag: frame.tag(i) }
     }
 
     // ------------------------------------------------------------------
@@ -618,7 +795,7 @@ impl RunShared {
                 // the modeled execution.
                 dc.node(NodeStats {
                     node: self.eg.graph.node(node_id).name.clone(),
-                    frame: frame.base_tag.clone(),
+                    frame: frame.path().to_string(),
                     iter: i as u64,
                     worker: 0, // filled in by the collector from the thread ordinal
                     scheduled_us: sched_us,
@@ -644,12 +821,11 @@ impl RunShared {
         let (tokens, any_dead) = {
             let mut core = frame.core.lock();
             let inst = self.instance(&mut core, i, node_id);
-            let tokens: Vec<Option<Token>> = inst.data.iter_mut().map(|s| s.take()).collect();
-            (tokens, inst.any_dead)
+            (inst.data.take(), inst.any_dead)
         };
 
         if trace_enabled("exec") {
-            eprintln!("EXEC {} ({}) dead={}", node.name, frame.tag(i), any_dead);
+            eprintln!("EXEC {} ({}) dead={}", node.name, frame.tag_text(i), any_dead);
         }
         let is_merge = matches!(node.op, OpKind::Merge);
         if any_dead && !is_merge {
@@ -670,11 +846,11 @@ impl RunShared {
         let node = self.eg.graph.node(node_id);
         if let OpKind::Send { key_base, .. } = &node.op {
             // Propagate is_dead across devices (§4.4).
-            self.send_timed(format!("{key_base}|{}", frame.tag(i)), Token::dead());
-            self.finish_op(frame, i, node_id, vec![], true);
+            self.send_timed(node_id, key_base, frame, i, Token::dead());
+            self.finish_op(frame, i, node_id, Outputs::new(), true);
             return;
         }
-        let outputs = vec![Token::dead(); node.op.num_outputs()];
+        let outputs = (0..node.op.num_outputs()).map(|_| Token::dead()).collect();
         self.finish_op(frame, i, node_id, outputs, true);
     }
 
@@ -685,32 +861,34 @@ impl RunShared {
         frame: &Arc<Frame>,
         i: usize,
         node_id: NodeId,
-        mut tokens: Vec<Option<Token>>,
-    ) -> Result<Option<Vec<Token>>> {
+        mut tokens: Slots,
+    ) -> Result<Option<Outputs>> {
         let node = self.eg.graph.node(node_id);
-        let take = |tokens: &mut Vec<Option<Token>>, idx: usize| -> Result<Token> {
-            tokens
-                .get_mut(idx)
-                .and_then(|s| s.take())
-                .ok_or_else(|| ExecError::Internal(format!("missing input {idx} of {}", node.name)))
-        };
+        let take =
+            |tokens: &mut Slots, idx: usize| -> Result<Token> {
+                tokens.slots_mut().get_mut(idx).and_then(|s| s.take()).ok_or_else(|| {
+                    ExecError::Internal(format!("missing input {idx} of {}", node.name))
+                })
+            };
         let kerr = |detail: String| ExecError::Kernel { node: node.name.clone(), detail };
 
         match &node.op {
             // ---------------- Sources ----------------
-            OpKind::Const(t) => Ok(Some(vec![self.materialize(t.clone())?])),
+            OpKind::Const(t) => Ok(Some(Outputs::one(self.materialize(t.clone())?))),
             OpKind::Placeholder { name, .. } => match self.feeds.get(name) {
-                Some(t) => Ok(Some(vec![self.materialize(t.clone())?])),
+                Some(t) => Ok(Some(Outputs::one(self.materialize(t.clone())?))),
                 None => Err(ExecError::BadFeedOrFetch(format!("placeholder {name} was not fed"))),
             },
             OpKind::Variable { name, init } => {
-                Ok(Some(vec![Token::live(self.resources.variable_read(name, init))]))
+                Ok(Some(Outputs::one(Token::live(self.resources.variable_read(name, init)))))
             }
             OpKind::RandomUniform { dims, lo, hi, seed } => {
+                // Seeded by the readable tag text, so a stream does not
+                // depend on the tag's in-memory form.
                 let mut h = DefaultHasher::new();
-                (frame.tag(i).as_str(), seed, self.options.seed).hash(&mut h);
+                (frame.tag_text(i).to_string().as_str(), seed, self.options.seed).hash(&mut h);
                 let mut rng = TensorRng::new(h.finish());
-                Ok(Some(vec![Token::live(rng.uniform(dims, *lo, *hi))]))
+                Ok(Some(Outputs::one(Token::live(rng.uniform(dims, *lo, *hi)))))
             }
 
             // ---------------- Control flow ----------------
@@ -729,13 +907,13 @@ impl RunShared {
                 } else {
                     Token::dead()
                 };
-                Ok(Some(vec![f_out, t_out]))
+                Ok(Some([f_out, t_out].into_iter().collect()))
             }
             OpKind::Merge => {
-                let chosen = tokens.iter_mut().find_map(|s| s.take()).ok_or_else(|| {
+                let chosen = tokens.into_iter().next().ok_or_else(|| {
                     ExecError::Internal(format!("merge {} fired empty", node.name))
                 })?;
-                Ok(Some(vec![chosen]))
+                Ok(Some(Outputs::one(chosen)))
             }
             OpKind::Enter { .. }
             | OpKind::Exit
@@ -745,83 +923,84 @@ impl RunShared {
             | OpKind::FunctionParam { .. }
             | OpKind::FunctionRet { .. } => {
                 let t = take(&mut tokens, 0)?;
-                Ok(Some(vec![t]))
+                Ok(Some(Outputs::one(t)))
             }
             OpKind::Call { .. } => {
                 // The argument tokens pass straight through to completion,
                 // where `finish_call` injects them into a fresh call frame.
-                let args: Vec<Token> = tokens
-                    .into_iter()
-                    .map(|s| {
-                        s.ok_or_else(|| {
-                            ExecError::Internal(format!("missing call argument of {}", node.name))
-                        })
-                    })
-                    .collect::<Result<_>>()?;
-                Ok(Some(args))
+                if tokens.slots_mut().iter().any(Option::is_none) {
+                    return Err(ExecError::Internal(format!(
+                        "missing call argument of {}",
+                        node.name
+                    )));
+                }
+                Ok(Some(tokens))
             }
 
             // ---------------- Communication ----------------
             OpKind::Send { key_base, .. } => {
                 let t = take(&mut tokens, 0)?;
-                self.send_timed(format!("{key_base}|{}", frame.tag(i)), t);
-                Ok(Some(vec![]))
+                self.send_timed(node_id, key_base, frame, i, t);
+                Ok(Some(Outputs::new()))
             }
             OpKind::Recv { key_base, .. } => {
-                let key = format!("{key_base}|{}", frame.tag(i));
+                let key = self.rendezvous_key(node_id, frame, i);
                 let sh = self.clone();
                 let fr = frame.clone();
                 // When tracing, time from recv issue to value arrival.
-                let issued =
-                    self.collector.as_ref().map(|dc| (dc.clone(), dc.now_us(), key.clone()));
-                self.rendezvous.recv_async(
-                    self.step,
-                    key,
-                    Box::new(move |result| {
-                        if let Some((dc, t0, key)) = issued {
-                            dc.rendezvous(RendezvousWait {
-                                key,
-                                kind: RendezvousKind::Recv,
-                                start_us: t0,
-                                wait_us: dc.now_us().saturating_sub(t0),
-                            });
+                let issued = self.collector.as_ref().map(|dc| {
+                    let name = TransferName { key_base, frame, iter: i }.to_string();
+                    (dc.clone(), dc.now_us(), name)
+                });
+                let callback: crate::RecvCallback = Box::new(move |result| {
+                    if let Some((dc, t0, key)) = issued {
+                        dc.rendezvous(RendezvousWait {
+                            key,
+                            kind: RendezvousKind::Recv,
+                            start_us: t0,
+                            wait_us: dc.now_us().saturating_sub(t0),
+                        });
+                    }
+                    match result {
+                        Ok(token) => {
+                            let dead = token.is_dead;
+                            sh.finish_op(&fr, i, node_id, Outputs::one(token), dead);
                         }
-                        match result {
-                            Ok(token) => {
-                                let dead = token.is_dead;
-                                sh.finish_op(&fr, i, node_id, vec![token], dead);
-                            }
-                            Err(e) => {
-                                // Transfer failed or the step was torn
-                                // down: abort the run (idempotent if it
-                                // already failed) and drain this op.
-                                sh.fail(e);
-                                sh.finish_noop(&fr, i);
-                            }
+                        Err(e) => {
+                            // Transfer failed or the step was torn
+                            // down: abort the run (idempotent if it
+                            // already failed) and drain this op.
+                            sh.fail(e);
+                            sh.finish_noop(&fr, i);
                         }
-                    }),
-                );
+                    }
+                });
+                let registered =
+                    self.rendezvous_call(|| self.rendezvous.recv_async(self.step, key, callback));
+                if !registered {
+                    self.finish_noop(frame, i);
+                }
                 Ok(None)
             }
 
             // ---------------- Resources ----------------
             OpKind::Assign { var } => {
                 let t = take(&mut tokens, 0)?;
-                Ok(Some(vec![Token::live(self.resources.assign(var, t.value))]))
+                Ok(Some(Outputs::one(Token::live(self.resources.assign(var, t.value)))))
             }
             OpKind::AssignAdd { var } => {
                 let t = take(&mut tokens, 0)?;
                 let v = self.resources.assign_add(var, &t.value).map_err(kerr)?;
-                Ok(Some(vec![Token::live(v)]))
+                Ok(Some(Outputs::one(Token::live(v))))
             }
             OpKind::AssignSub { var } => {
                 let t = take(&mut tokens, 0)?;
                 let v = self.resources.assign_sub(var, &t.value).map_err(kerr)?;
-                Ok(Some(vec![Token::live(v)]))
+                Ok(Some(Outputs::one(Token::live(v))))
             }
             OpKind::StackCreate { swap } => {
                 let id = self.resources.stack_create(self.step, *swap);
-                Ok(Some(vec![Token::live(Tensor::scalar_i64(id as i64))]))
+                Ok(Some(Outputs::one(Token::live(Tensor::scalar_i64(id as i64)))))
             }
             OpKind::StackPush => {
                 let handle = take(&mut tokens, 0)?;
@@ -838,7 +1017,7 @@ impl RunShared {
                     value,
                 )
                 .map_err(kerr)?;
-                Ok(Some(vec![out]))
+                Ok(Some(Outputs::one(out)))
             }
             OpKind::StackPop => {
                 let handle = take(&mut tokens, 0)?;
@@ -855,10 +1034,14 @@ impl RunShared {
                 let size = take(&mut tokens, 0)?;
                 let n = size.value.scalar_as_i64().map_err(|e| kerr(e.to_string()))?.max(0);
                 let id = self.resources.array_create(self.step, *dtype, *accumulate, n as usize);
-                Ok(Some(vec![
-                    Token::live(Tensor::scalar_i64(id as i64)),
-                    Token::live(Tensor::scalar_f32(0.0)),
-                ]))
+                Ok(Some(
+                    [
+                        Token::live(Tensor::scalar_i64(id as i64)),
+                        Token::live(Tensor::scalar_f32(0.0)),
+                    ]
+                    .into_iter()
+                    .collect(),
+                ))
             }
             OpKind::TensorArrayWrite => {
                 let handle = take(&mut tokens, 0)?;
@@ -868,7 +1051,7 @@ impl RunShared {
                 let id = handle.value.scalar_as_i64().map_err(|e| kerr(e.to_string()))? as u64;
                 let ix = index.value.scalar_as_i64().map_err(|e| kerr(e.to_string()))?;
                 self.resources.array_write(id, ix, value).map_err(kerr)?;
-                Ok(Some(vec![Token::live(Tensor::scalar_f32(0.0))]))
+                Ok(Some(Outputs::one(Token::live(Tensor::scalar_f32(0.0)))))
             }
             OpKind::TensorArrayRead => {
                 let handle = take(&mut tokens, 0)?;
@@ -876,13 +1059,13 @@ impl RunShared {
                 let id = handle.value.scalar_as_i64().map_err(|e| kerr(e.to_string()))? as u64;
                 let ix = index.value.scalar_as_i64().map_err(|e| kerr(e.to_string()))?;
                 let v = self.resources.array_read(id, ix).map_err(kerr)?;
-                Ok(Some(vec![Token::live(v)]))
+                Ok(Some(Outputs::one(Token::live(v))))
             }
             OpKind::TensorArrayPack => {
                 let handle = take(&mut tokens, 0)?;
                 let id = handle.value.scalar_as_i64().map_err(|e| kerr(e.to_string()))? as u64;
                 let v = self.resources.array_pack(id).map_err(kerr)?;
-                Ok(Some(vec![self.materialize(v)?]))
+                Ok(Some(Outputs::one(self.materialize(v)?)))
             }
             OpKind::TensorArrayUnpack => {
                 let handle = take(&mut tokens, 0)?;
@@ -891,29 +1074,33 @@ impl RunShared {
                 self.resources
                     .array_unpack(id, &value.value, value.charge.clone())
                     .map_err(kerr)?;
-                Ok(Some(vec![Token::live(Tensor::scalar_f32(0.0))]))
+                Ok(Some(Outputs::one(Token::live(Tensor::scalar_f32(0.0)))))
             }
             OpKind::TensorArraySize => {
                 let handle = take(&mut tokens, 0)?;
                 let id = handle.value.scalar_as_i64().map_err(|e| kerr(e.to_string()))? as u64;
                 let n = self.resources.array_size(id).map_err(kerr)?;
-                Ok(Some(vec![Token::live(Tensor::scalar_i64(n))]))
+                Ok(Some(Outputs::one(Token::live(Tensor::scalar_i64(n)))))
             }
             OpKind::TensorArrayGrad { source } => {
                 let handle = take(&mut tokens, 0)?;
                 let id = handle.value.scalar_as_i64().map_err(|e| kerr(e.to_string()))? as u64;
                 let gid = self.resources.array_grad(id, source).map_err(kerr)?;
-                Ok(Some(vec![
-                    Token::live(Tensor::scalar_i64(gid as i64)),
-                    Token::live(Tensor::scalar_f32(0.0)),
-                ]))
+                Ok(Some(
+                    [
+                        Token::live(Tensor::scalar_i64(gid as i64)),
+                        Token::live(Tensor::scalar_f32(0.0)),
+                    ]
+                    .into_iter()
+                    .collect(),
+                ))
             }
 
             OpKind::StreamStateRead { cell } => {
                 let slots = take(&mut tokens, 0)?;
                 let ids = slots.value.as_i64_slice().map_err(|e| kerr(e.to_string()))?;
                 let v = self.resources.stream_read_rows(cell, ids).map_err(kerr)?;
-                Ok(Some(vec![self.materialize(v)?]))
+                Ok(Some(Outputs::one(self.materialize(v)?)))
             }
             OpKind::StreamStateWrite { cell } => {
                 let slots = take(&mut tokens, 0)?;
@@ -921,96 +1108,110 @@ impl RunShared {
                 let ids = slots.value.as_i64_slice().map_err(|e| kerr(e.to_string()))?;
                 self.resources.stream_write_rows(cell, ids, &value.value).map_err(kerr)?;
                 // Forward the value so fetching the output forces the write.
-                Ok(Some(vec![value]))
+                Ok(Some(Outputs::one(value)))
             }
 
             // ---------------- Bookkeeping ----------------
-            OpKind::NoOp | OpKind::ControlTrigger => Ok(Some(vec![])),
+            OpKind::NoOp | OpKind::ControlTrigger => Ok(Some(Outputs::new())),
 
             // ---------------- Compute ----------------
             op => {
-                let inputs: Vec<Token> = tokens
-                    .into_iter()
-                    .map(|s| {
-                        s.ok_or_else(|| {
-                            ExecError::Internal(format!("missing input of {}", node.name))
-                        })
-                    })
-                    .collect::<Result<_>>()?;
-                let values: Vec<&Tensor> = inputs.iter().map(|t| &t.value).collect();
-                let cm = self.device.cost_model();
-                let cost = op_cost(op, &values, cm);
-                let duration = cm.duration(cost);
-                if is_compute_op(op) && cm.profile().is_gpu && duration > std::time::Duration::ZERO
-                {
-                    // Submit to the device compute stream; completion is
-                    // asynchronous via callback (the executor treats the
-                    // kernel as done once enqueued, §4.4).
-                    let op = op.clone();
-                    let name = node.name.clone();
-                    let owned: Vec<Tensor> = inputs.iter().map(|t| t.value.clone()).collect();
-                    let sh = self.clone();
-                    let fr = frame.clone();
-                    self.device.submit_with_callback(
-                        StreamKind::Compute,
-                        Kernel {
-                            name: name.clone(),
-                            modeled: duration,
-                            wait_for: vec![],
-                            cancel: self.cancel_flag.clone(),
-                            collector: self.kernel_collector(),
-                            compute: Box::new(move || {
-                                let refs: Vec<&Tensor> = owned.iter().collect();
-                                execute_op(&op, &refs)
-                            }),
-                        },
-                        Box::new(move |result| match result {
-                            Ok(values) => {
-                                let mut outs = Vec::with_capacity(values.len());
-                                for v in values {
-                                    match sh.materialize_output(node_id, v) {
-                                        Ok(t) => outs.push(t),
-                                        Err(e) => {
-                                            sh.fail(e);
-                                            return;
-                                        }
-                                    }
-                                }
-                                sh.finish_op(&fr, i, node_id, outs, false);
-                            }
-                            Err(detail) => sh.fail(ExecError::Kernel { node: name, detail }),
-                        }),
-                    );
-                    Ok(None)
-                } else {
-                    let out = execute_op(op, &values).map_err(kerr)?;
-                    let mut outs = Vec::with_capacity(out.len());
-                    for v in out {
-                        outs.push(self.materialize_output(node_id, v)?);
-                    }
-                    Ok(Some(outs))
+                if tokens.slots_mut().iter().any(Option::is_none) {
+                    return Err(ExecError::Internal(format!("missing input of {}", node.name)));
                 }
+                with_values(&mut tokens, |values| {
+                    let cm = self.device.cost_model();
+                    let cost = op_cost(op, values, cm);
+                    let duration = cm.duration(cost);
+                    if is_compute_op(op)
+                        && cm.profile().is_gpu
+                        && duration > std::time::Duration::ZERO
+                    {
+                        // Submit to the device compute stream; completion
+                        // is asynchronous via callback (the executor treats
+                        // the kernel as done once enqueued, §4.4).
+                        self.submit_compute(frame, i, node_id, op, duration, values);
+                        Ok(None)
+                    } else {
+                        let mut outs = Outputs::new();
+                        for v in execute_op(op, values).map_err(kerr)? {
+                            outs.push(self.materialize_output(node_id, v)?);
+                        }
+                        Ok(Some(outs))
+                    }
+                })
             }
         }
     }
 
-    /// Sends `token` on the rendezvous, recording the send-side wait (time
-    /// spent inside the rendezvous, e.g. modeled-network queueing) when a
-    /// collector is attached.
-    fn send_timed(&self, key: String, token: Token) {
-        match &self.collector {
-            None => self.rendezvous.send(self.step, key, token),
+    /// Submits a compute op to the device's compute stream; the stream's
+    /// completion callback finishes the activation.
+    fn submit_compute(
+        self: &Arc<Self>,
+        frame: &Arc<Frame>,
+        i: usize,
+        node_id: NodeId,
+        op: &OpKind,
+        duration: std::time::Duration,
+        values: &[&Tensor],
+    ) {
+        let op = op.clone();
+        let name = self.eg.graph.node(node_id).name.clone();
+        let owned: Vec<Tensor> = values.iter().map(|&t| t.clone()).collect();
+        let sh = self.clone();
+        let fr = frame.clone();
+        self.device.submit_with_callback(
+            StreamKind::Compute,
+            Kernel {
+                name: name.clone(),
+                modeled: duration,
+                wait_for: vec![],
+                cancel: self.cancel_flag.clone(),
+                collector: self.kernel_collector(),
+                compute: Box::new(move || {
+                    let refs: Vec<&Tensor> = owned.iter().collect();
+                    execute_op(&op, &refs)
+                }),
+            },
+            Box::new(move |result| match result {
+                Ok(values) => {
+                    let mut outs = Outputs::new();
+                    for v in values {
+                        match sh.materialize_output(node_id, v) {
+                            Ok(t) => outs.push(t),
+                            Err(e) => {
+                                sh.fail(e);
+                                return;
+                            }
+                        }
+                    }
+                    sh.finish_op(&fr, i, node_id, outs, false);
+                }
+                Err(detail) => sh.fail(ExecError::Kernel { node: name, detail }),
+            }),
+        );
+    }
+
+    /// Sends `token` on the rendezvous as Send node `node_id`'s activation
+    /// in (`frame`, `i`), recording the send-side wait (time spent inside
+    /// the rendezvous, e.g. modeled-network queueing) when a collector is
+    /// attached. A failed run sends nothing.
+    fn send_timed(&self, node_id: NodeId, key_base: &str, frame: &Frame, i: usize, token: Token) {
+        let key = self.rendezvous_key(node_id, frame, i);
+        let name = TransferName { key_base, frame, iter: i };
+        self.rendezvous_call(|| match &self.collector {
+            None => self.rendezvous.send(self.step, key, &name, token),
             Some(dc) => {
                 let t0 = dc.now_us();
-                self.rendezvous.send(self.step, key.clone(), token);
+                self.rendezvous.send(self.step, key, &name, token);
                 dc.rendezvous(RendezvousWait {
-                    key,
+                    key: name.to_string(),
                     kind: RendezvousKind::Send,
                     start_us: t0,
                     wait_us: dc.now_us().saturating_sub(t0),
                 });
             }
-        }
+        });
     }
 
     /// The collector handle attached to this run's device kernel
@@ -1122,7 +1323,7 @@ impl RunShared {
         node_id: NodeId,
         id: u64,
         index: i64,
-    ) -> Result<Option<Vec<Token>>> {
+    ) -> Result<Option<Outputs>> {
         let ready = {
             let mut stacks = self.resources.stacks.lock();
             let stack = stacks.get_mut(&id).ok_or_else(|| ExecError::Kernel {
@@ -1183,7 +1384,7 @@ impl RunShared {
         match slot {
             StackSlot::Device(token) => {
                 let dead = token.is_dead;
-                self.finish_op(frame, i, node_id, vec![token], dead);
+                self.finish_op(frame, i, node_id, Outputs::one(token), dead);
             }
             StackSlot::Host { value, d2h_done, is_dead } => {
                 // Swap back in on the H2D stream; must wait for the
@@ -1208,7 +1409,7 @@ impl RunShared {
                             match sh.materialize(value) {
                                 Ok(mut token) => {
                                     token.is_dead = is_dead;
-                                    sh.finish_op(&fr, i, node_id, vec![token], is_dead);
+                                    sh.finish_op(&fr, i, node_id, Outputs::one(token), is_dead);
                                 }
                                 Err(e) => sh.fail(e),
                             }
@@ -1248,7 +1449,7 @@ impl RunShared {
         frame: &Arc<Frame>,
         i: usize,
         node_id: NodeId,
-        outputs: Vec<Token>,
+        outputs: Outputs,
         was_dead: bool,
     ) {
         if self.is_failed() {
@@ -1359,7 +1560,7 @@ impl RunShared {
         frame: &Arc<Frame>,
         i: usize,
         node_id: NodeId,
-        outputs: Vec<Token>,
+        outputs: Outputs,
         is_constant: bool,
         parallel_iterations: usize,
     ) {
@@ -1382,7 +1583,8 @@ impl RunShared {
                     let child = Frame::child(
                         id,
                         name_id,
-                        self.eg.frame_name(name_id),
+                        self.eg.frame_name_arc(name_id),
+                        self.eg.frame_hash(name_id),
                         (frame.clone(), i),
                         parallel_iterations,
                         self.eg.expected_enters(name_id),
@@ -1427,7 +1629,7 @@ impl RunShared {
     /// `Exit` completion: live exits deliver into the parent frame
     /// immediately; dead exits are recorded and delivered (once) only if
     /// the frame completes without that exit ever going live.
-    fn finish_exit(self: &Arc<Self>, frame: &Arc<Frame>, node_id: NodeId, outputs: Vec<Token>) {
+    fn finish_exit(self: &Arc<Self>, frame: &Arc<Frame>, node_id: NodeId, outputs: Outputs) {
         let Some(token) = outputs.into_iter().next() else { return };
         let Some((parent, pi)) = &frame.parent else { return };
         if token.is_dead {
@@ -1446,13 +1648,7 @@ impl RunShared {
     /// frame) and inject the argument tokens into the body's
     /// `FunctionParam` nodes. Lock order matches [`RunShared::finish_enter`]:
     /// frame table → parent core → child core, never two cores at once.
-    fn finish_call(
-        self: &Arc<Self>,
-        frame: &Arc<Frame>,
-        i: usize,
-        node_id: NodeId,
-        args: Vec<Token>,
-    ) {
+    fn finish_call(self: &Arc<Self>, frame: &Arc<Frame>, i: usize, node_id: NodeId, args: Outputs) {
         let name_id = self.eg.call_frame(node_id).expect("Call node has a frame name");
         if frame.depth >= self.max_frame_depth {
             self.fail(ExecError::FrameDepthExceeded {
@@ -1483,7 +1679,8 @@ impl RunShared {
             let child = Frame::child(
                 id,
                 name_id,
-                self.eg.frame_name(name_id),
+                self.eg.frame_name_arc(name_id),
+                self.eg.frame_hash(name_id),
                 (frame.clone(), i),
                 1,
                 1,
@@ -1521,13 +1718,13 @@ impl RunShared {
     /// parent frame. Mirrors [`RunShared::finish_exit`]'s parent-delivery
     /// path; no dead-exit deferral is needed because every body node
     /// (dead propagation included) executes exactly once per call frame.
-    fn finish_ret(self: &Arc<Self>, frame: &Arc<Frame>, index: usize, outputs: Vec<Token>) {
+    fn finish_ret(self: &Arc<Self>, frame: &Arc<Frame>, index: usize, outputs: Outputs) {
         let Some(token) = outputs.into_iter().next() else { return };
         let Some((parent, pi)) = &frame.parent else { return };
         let Some(call_site) = frame.call_site else {
             self.fail(ExecError::Internal(format!(
                 "FunctionRet fired in non-call frame '{}'",
-                frame.base_tag
+                frame.path()
             )));
             return;
         };
@@ -1561,7 +1758,7 @@ impl RunShared {
                 break;
             }
             let front = core.front;
-            core.iterations.remove(&front);
+            core.retire_iteration(front);
             core.front = front + 1;
             // Release deferred tokens now inside the window.
             loop {
@@ -1590,7 +1787,7 @@ impl RunShared {
             core.done = true;
             if let Some(dc) = &self.collector {
                 dc.frame(FrameStats {
-                    frame: frame.base_tag.clone(),
+                    frame: frame.path().to_string(),
                     iterations: core.started as u64,
                     dead_tokens: core.dead_tokens,
                 });

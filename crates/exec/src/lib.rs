@@ -34,6 +34,7 @@
 mod exec_graph;
 mod executor;
 mod frame;
+mod inline;
 mod kernels;
 mod plan;
 mod pool;
@@ -42,10 +43,15 @@ mod resources;
 mod token;
 
 pub use exec_graph::ExecGraph;
-pub use executor::{Executor, ExecutorOptions, RunConfig, RunOutcome, DEFAULT_MAX_FRAME_DEPTH};
+pub use executor::{
+    Executor, ExecutorOptions, RunConfig, RunHandle, RunOutcome, DEFAULT_MAX_FRAME_DEPTH,
+};
+pub use frame::{frame_name_hash, FrameKey, Tag};
 pub use kernels::{execute_op, op_cost};
 pub use plan::{MemPlanStats, MemoryPlan};
-pub use rendezvous::{InMemoryRendezvous, RecvCallback, RecvResult, Rendezvous, StepId};
+pub use rendezvous::{
+    EdgeKey, InMemoryRendezvous, RecvCallback, RecvResult, Rendezvous, RendezvousKey, StepId,
+};
 pub use resources::ResourceManager;
 pub use token::{CancelToken, Charge, ExecError, Token};
 

@@ -680,3 +680,45 @@ fn case_dispatches_each_branch_at_runtime() {
         assert_eq!(out[0].scalar_as_f32().unwrap(), expect, "index={iv}");
     }
 }
+
+#[test]
+fn wide_fan_out_spreads_across_workers() {
+    // One producer makes 100 successors ready at once. The finishing
+    // worker keeps only the first for itself; the other 99 go to the
+    // shared queue, so idle workers must pick some of them up.
+    use dcf_device::{DeviceCollector, StepStatsCollector, TraceLevel};
+    let mut b = GraphBuilder::new();
+    let x = b.constant(Tensor::ones(&[48, 48]));
+    let products: Vec<TensorRef> = (0..100).map(|_| b.matmul(x, x).unwrap()).collect();
+    let total = b.add_n(&products).unwrap();
+    let graph = Arc::new(b.finish().unwrap());
+    let matmuls: Vec<String> = products.iter().map(|t| graph.node(t.node).name.clone()).collect();
+    let exec = Executor::new(
+        ExecGraph::local(graph),
+        Device::new(DeviceId(0), 0, DeviceProfile::cpu()),
+        ResourceManager::new(),
+        Arc::new(InMemoryRendezvous::new()),
+        ExecutorOptions { workers: 4, ..ExecutorOptions::default() },
+    );
+    // Warm up, then let every worker go idle and park, so the measured
+    // run's spread depends on wake-ups rather than on workers that were
+    // still starting when the successors were queued.
+    exec.run(&HashMap::new(), &[total]).unwrap();
+    std::thread::sleep(std::time::Duration::from_millis(50));
+    let collector = Arc::new(StepStatsCollector::new(TraceLevel::Software));
+    collector.register_device("cpu:0");
+    let config = crate::RunConfig {
+        collector: Some(DeviceCollector::new(0, collector.clone())),
+        ..crate::RunConfig::default()
+    };
+    let out = exec.run_with(Arc::new(HashMap::new()), &[total], config).unwrap();
+    assert_eq!(out.values[0].as_f32_slice().unwrap()[0], 100.0 * 48.0);
+    let stats = collector.finish();
+    let workers: std::collections::HashSet<u32> = stats.devices[0]
+        .node_stats
+        .iter()
+        .filter(|n| matmuls.contains(&n.node))
+        .map(|n| n.worker)
+        .collect();
+    assert!(workers.len() > 1, "100-wide fan-out ran on one worker only");
+}

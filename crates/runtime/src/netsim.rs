@@ -1,12 +1,22 @@
 //! Simulated network: delayed rendezvous delivery, retry/backoff, and
 //! (feature-gated) deterministic fault injection.
+//!
+//! Transfers are keyed by integer [`RendezvousKey`]s; the endpoint machines
+//! come from the key's [`dcf_exec::EdgeKey`]. The readable key text a
+//! sender passes along is rendered only for a traced run's transfer
+//! records, a failed transfer's error, and a fault plan's rolls — which
+//! hash that text, so a seed's faults do not depend on the key's in-memory
+//! form.
 
 use crate::fault::{FaultLog, FaultPlan, RetryPolicy};
 use dcf_device::{StepStatsCollector, TransferStats};
-use dcf_exec::{ExecError, InMemoryRendezvous, RecvCallback, Rendezvous, StepId, Token};
+use dcf_exec::{
+    ExecError, InMemoryRendezvous, RecvCallback, Rendezvous, RendezvousKey, StepId, Token,
+};
 use dcf_sync::{Condvar, Mutex};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
+use std::fmt;
 use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
@@ -102,7 +112,7 @@ struct Pending {
     due: Instant,
     seq: u64,
     step: StepId,
-    key: String,
+    key: RendezvousKey,
     payload: Payload,
 }
 
@@ -127,6 +137,10 @@ struct SchedulerState {
     heap: BinaryHeap<Reverse<Pending>>,
     seq: u64,
     shutdown: bool,
+    /// The step whose transfer the timer has popped off the heap and is
+    /// handing to the table right now, and whether that step was dropped
+    /// meanwhile (its tombstone is then released once the hand-off ends).
+    delivering: Option<(StepId, bool)>,
 }
 
 /// Per-run transport context: how the run's transfers retry, what faults
@@ -166,12 +180,18 @@ impl Fate {
 /// `faultinject` feature, seeded faults with retry/backoff recovery — into
 /// `send`.
 ///
-/// Keys produced by the partitioner carry a `m{src}>m{dst}/` prefix naming
-/// the endpoint machines; delivery into the underlying in-memory table is
+/// Edges produced by the partitioner name their endpoint machines (see
+/// [`dcf_exec::EdgeKey`]); delivery into the underlying in-memory table is
 /// postponed by the modeled transfer time on a dedicated timer thread.
 /// Entries are step-scoped: [`Rendezvous::drop_step`] purges a run's
 /// in-flight (still-delayed) transfers from the timer heap *and* its table
 /// entries, so an aborted run leaves the network verifiably quiescent.
+///
+/// The only straggler that can reach the table after `drop_step` is a
+/// transfer the timer popped just before the purge, so the table's
+/// tombstone for a dropped step lives exactly that long: `drop_step`
+/// releases it at once unless the timer is mid-delivery for the step, in
+/// which case the timer releases it when the delivery ends.
 pub struct NetworkRendezvous {
     inner: InMemoryRendezvous,
     model: NetworkModel,
@@ -188,7 +208,12 @@ impl NetworkRendezvous {
     pub fn new(model: NetworkModel) -> Arc<NetworkRendezvous> {
         let inner = InMemoryRendezvous::new();
         let state = Arc::new((
-            Mutex::new(SchedulerState { heap: BinaryHeap::new(), seq: 0, shutdown: false }),
+            Mutex::new(SchedulerState {
+                heap: BinaryHeap::new(),
+                seq: 0,
+                shutdown: false,
+                delivering: None,
+            }),
             Condvar::new(),
         ));
         let timer_state = state.clone();
@@ -206,14 +231,23 @@ impl NetworkRendezvous {
                     // Deliver everything due.
                     while st.heap.peek().map(|Reverse(p)| p.due <= now).unwrap_or(false) {
                         let Some(Reverse(p)) = st.heap.pop() else { break };
+                        st.delivering = Some((p.step, false));
                         // Deliver outside the lock: recv callbacks may run
                         // arbitrary executor code.
                         drop(st);
                         match p.payload {
-                            Payload::Deliver(token) => timer_inner.send(p.step, p.key, token),
+                            Payload::Deliver(token) => {
+                                timer_inner.send(p.step, p.key, &p.key, token)
+                            }
                             Payload::Fail(err) => timer_inner.send_error(p.step, p.key, err),
                         }
                         st = lock.lock();
+                        if let Some((step, true)) = st.delivering.take() {
+                            // The step was dropped mid-delivery; now that
+                            // the straggler has landed (and been discarded),
+                            // its tombstone can go.
+                            timer_inner.release_step(step);
+                        }
                     }
                     match st.heap.peek() {
                         Some(Reverse(p)) => {
@@ -297,12 +331,10 @@ impl NetworkRendezvous {
         self.inner.pending_waiters()
     }
 
-    fn parse_machines(key: &str) -> Option<(usize, usize)> {
-        // Format: "m{a}>m{b}/...".
-        let rest = key.strip_prefix('m')?;
-        let (a, rest) = rest.split_once(">m")?;
-        let (b, _) = rest.split_once('/')?;
-        Some((a.parse().ok()?, b.parse().ok()?))
+    /// Tombstones of dropped steps still held by the table (diagnostics):
+    /// at most the one step whose straggler the timer is delivering.
+    pub fn tombstones(&self) -> usize {
+        self.inner.tombstones()
     }
 
     /// Decides the transfer's outcome: with a fault plan installed (and the
@@ -315,7 +347,7 @@ impl NetworkRendezvous {
     fn decide_fate(
         &self,
         step: StepId,
-        key: &str,
+        name: &dyn fmt::Display,
         src_machine: usize,
         base: Duration,
     ) -> (Fate, Option<Arc<StepStatsCollector>>) {
@@ -330,14 +362,17 @@ impl NetworkRendezvous {
 
         #[cfg(feature = "faultinject")]
         if let Some(plan) = &ctx.plan {
-            fate = Self::faulted_fate(plan, &ctx.log, &retry, key, src_machine, base);
+            // Rolls hash the readable key text, so a seeded plan's faults
+            // do not depend on how keys are represented in memory.
+            let key = name.to_string();
+            fate = Self::faulted_fate(plan, &ctx.log, &retry, &key, src_machine, base);
         }
 
         if fate.error.is_none() {
             if let Some(deadline) = retry.transfer_deadline {
                 if fate.total > deadline {
                     fate.error = Some(ExecError::TransferFailed {
-                        key: key.to_string(),
+                        key: name.to_string(),
                         attempts: fate.attempts,
                     });
                 }
@@ -420,7 +455,7 @@ impl NetworkRendezvous {
         }
     }
 
-    fn schedule(&self, due: Instant, step: StepId, key: String, payload: Payload) {
+    fn schedule(&self, due: Instant, step: StepId, key: RendezvousKey, payload: Payload) {
         let (lock, cvar) = &*self.state;
         let mut st = lock.lock();
         st.seq += 1;
@@ -431,21 +466,21 @@ impl NetworkRendezvous {
 }
 
 impl Rendezvous for NetworkRendezvous {
-    fn send(&self, step: StepId, key: String, token: Token) {
-        let machines = Self::parse_machines(&key);
+    fn send(&self, step: StepId, key: RendezvousKey, name: &dyn fmt::Display, token: Token) {
+        let machines = key.edge.machines();
         let base = match machines {
             Some((a, b)) => self.model.delay(a, b, &token),
             None => Duration::ZERO,
         };
         let (fate, collector) = match machines {
-            Some((src, _)) => self.decide_fate(step, &key, src, base),
-            // Same-device (unprefixed) edges bypass the network model and
+            Some((src, _)) => self.decide_fate(step, name, src, base),
+            // Unrouted (same-machine) edges bypass the network model and
             // the fault plan entirely.
             None => (Fate::clean(Duration::ZERO), None),
         };
         if let Some(c) = collector {
             c.record_transfer(TransferStats {
-                key: key.clone(),
+                key: name.to_string(),
                 bytes: self.model.modeled_bytes(&token) as u64,
                 start_us: c.now_us(),
                 delay_us: fate.total.as_micros() as u64,
@@ -456,23 +491,23 @@ impl Rendezvous for NetworkRendezvous {
             return;
         }
         if fate.total.is_zero() && fate.duplicate_after.is_none() {
-            self.inner.send(step, key, token);
+            self.inner.send(step, key, name, token);
             return;
         }
         let due = Instant::now() + fate.total;
         if let Some(extra) = fate.duplicate_after {
             // The rendezvous keeps the first value for a key, so the
             // duplicate is absorbed there (and reclaimed at drop_step).
-            self.schedule(due + extra, step, key.clone(), Payload::Deliver(token.clone()));
+            self.schedule(due + extra, step, key, Payload::Deliver(token.clone()));
         }
         self.schedule(due, step, key, Payload::Deliver(token));
     }
 
-    fn send_error(&self, step: StepId, key: String, err: ExecError) {
+    fn send_error(&self, step: StepId, key: RendezvousKey, err: ExecError) {
         self.inner.send_error(step, key, err);
     }
 
-    fn recv_async(&self, step: StepId, key: String, callback: RecvCallback) {
+    fn recv_async(&self, step: StepId, key: RendezvousKey, callback: RecvCallback) {
         self.inner.recv_async(step, key, callback);
     }
 
@@ -481,10 +516,25 @@ impl Rendezvous for NetworkRendezvous {
         // in the table after teardown.
         {
             let mut st = self.state.0.lock();
-            let drained = std::mem::take(&mut st.heap);
-            st.heap = drained.into_iter().filter(|Reverse(p)| p.step != step).collect();
+            if st.heap.iter().any(|Reverse(p)| p.step == step) {
+                let drained = std::mem::take(&mut st.heap);
+                st.heap = drained.into_iter().filter(|Reverse(p)| p.step != step).collect();
+            }
         }
         self.inner.drop_step(step, err);
+        // With the heap purged, the only straggler left is a transfer the
+        // timer is handing over right now; if there is one, the timer
+        // releases the tombstone after it, otherwise no straggler remains.
+        {
+            let mut st = self.state.0.lock();
+            if let Some((delivering, release)) = &mut st.delivering {
+                if *delivering == step {
+                    *release = true;
+                    return;
+                }
+            }
+        }
+        self.inner.release_step(step);
     }
 }
 
@@ -504,13 +554,19 @@ impl Drop for NetworkRendezvous {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dcf_exec::{EdgeKey, FrameKey, Tag};
     use dcf_tensor::Tensor;
     use std::sync::atomic::{AtomicBool, Ordering};
 
+    /// The key of the root-frame activation of the edge named `name`.
+    fn k(name: &str) -> RendezvousKey {
+        RendezvousKey { edge: EdgeKey::parse(name), tag: Tag { frame: FrameKey::ROOT, iter: 0 } }
+    }
+
     #[test]
     fn key_parsing() {
-        assert_eq!(NetworkRendezvous::parse_machines("m3>m17/d1>d2/x"), Some((3, 17)));
-        assert_eq!(NetworkRendezvous::parse_machines("nokey"), None);
+        assert_eq!(k("m3>m17/d1>d2/x").edge.machines(), Some((3, 17)));
+        assert_eq!(k("nokey").edge.machines(), None);
     }
 
     #[test]
@@ -533,9 +589,9 @@ mod tests {
         let r = NetworkRendezvous::new(model);
         let hit = Arc::new(AtomicBool::new(false));
         let h = hit.clone();
-        r.recv_async(0, "m0>m1/x".into(), Box::new(move |_| h.store(true, Ordering::SeqCst)));
+        r.recv_async(0, k("m0>m1/x"), Box::new(move |_| h.store(true, Ordering::SeqCst)));
         let t0 = Instant::now();
-        r.send(0, "m0>m1/x".into(), Token::live(Tensor::scalar_f32(1.0)));
+        r.send(0, k("m0>m1/x"), &"m0>m1/x", Token::live(Tensor::scalar_f32(1.0)));
         assert!(!hit.load(Ordering::SeqCst), "must not deliver synchronously");
         while !hit.load(Ordering::SeqCst) {
             assert!(t0.elapsed() < Duration::from_secs(5), "delivery never happened");
@@ -550,8 +606,8 @@ mod tests {
         let r = NetworkRendezvous::new(NetworkModel::default());
         let hit = Arc::new(AtomicBool::new(false));
         let h = hit.clone();
-        r.recv_async(0, "plain".into(), Box::new(move |_| h.store(true, Ordering::SeqCst)));
-        r.send(0, "plain".into(), Token::dead());
+        r.recv_async(0, k("plain"), Box::new(move |_| h.store(true, Ordering::SeqCst)));
+        r.send(0, k("plain"), &"plain", Token::dead());
         assert!(hit.load(Ordering::SeqCst));
     }
 
@@ -560,7 +616,7 @@ mod tests {
         let model =
             NetworkModel { cross_latency: Duration::from_millis(50), ..NetworkModel::default() };
         let r = NetworkRendezvous::new(model);
-        r.send(7, "m0>m1/x".into(), Token::live(Tensor::scalar_f32(1.0)));
+        r.send(7, k("m0>m1/x"), &"m0>m1/x", Token::live(Tensor::scalar_f32(1.0)));
         assert!(!r.quiescent(), "transfer is in flight");
         r.drop_step(7, ExecError::Cancelled("abort".into()));
         assert!(r.quiescent(), "drop_step purged the heap");
@@ -575,7 +631,7 @@ mod tests {
             NetworkModel { cross_latency: Duration::from_millis(50), ..NetworkModel::default() };
         let r = NetworkRendezvous::new(model);
         r.begin_run(11, RetryPolicy::default(), None, None);
-        r.send(11, "m0>m1/x".into(), Token::live(Tensor::scalar_f32(1.0)));
+        r.send(11, k("m0>m1/x"), &"m0>m1/x", Token::live(Tensor::scalar_f32(1.0)));
         assert!(!r.quiescent_step(11), "step 11 has live transfer state");
         assert!(r.quiescent(), "an active step mid-flight is not a leak");
         r.end_run(11);
@@ -597,8 +653,8 @@ mod tests {
         r.begin_run(9, retry, None, None);
         let got = Arc::new(Mutex::new(None));
         let g = got.clone();
-        r.recv_async(9, "m0>m1/slow".into(), Box::new(move |res| *g.lock() = Some(res)));
-        r.send(9, "m0>m1/slow".into(), Token::live(Tensor::scalar_f32(1.0)));
+        r.recv_async(9, k("m0>m1/slow"), Box::new(move |res| *g.lock() = Some(res)));
+        r.send(9, k("m0>m1/slow"), &"m0>m1/slow", Token::live(Tensor::scalar_f32(1.0)));
         let t0 = Instant::now();
         loop {
             if let Some(res) = got.lock().take() {
@@ -625,8 +681,8 @@ mod tests {
             let key = format!("m0>m1/k{i}");
             let hit = Arc::new(AtomicBool::new(false));
             let h = hit.clone();
-            r.recv_async(1, key.clone(), Box::new(move |_| h.store(true, Ordering::SeqCst)));
-            r.send(1, key, Token::live(Tensor::scalar_f32(i as f32)));
+            r.recv_async(1, k(&key), Box::new(move |_| h.store(true, Ordering::SeqCst)));
+            r.send(1, k(&key), &key, Token::live(Tensor::scalar_f32(i as f32)));
             let t0 = Instant::now();
             while !hit.load(Ordering::SeqCst) {
                 assert!(t0.elapsed() < Duration::from_secs(5), "k{i} never delivered");
@@ -648,8 +704,8 @@ mod tests {
         r.begin_run(2, RetryPolicy { max_retries: 2, ..RetryPolicy::default() }, Some(plan), None);
         let got = Arc::new(Mutex::new(None));
         let g = got.clone();
-        r.recv_async(2, "m0>m1/doomed".into(), Box::new(move |res| *g.lock() = Some(res)));
-        r.send(2, "m0>m1/doomed".into(), Token::live(Tensor::scalar_f32(1.0)));
+        r.recv_async(2, k("m0>m1/doomed"), Box::new(move |res| *g.lock() = Some(res)));
+        r.send(2, k("m0>m1/doomed"), &"m0>m1/doomed", Token::live(Tensor::scalar_f32(1.0)));
         let t0 = Instant::now();
         loop {
             if let Some(res) = got.lock().take() {
@@ -677,12 +733,12 @@ mod tests {
         let h = hits.clone();
         r.recv_async(
             4,
-            "m0>m1/dup".into(),
+            k("m0>m1/dup"),
             Box::new(move |_| {
                 h.fetch_add(1, Ordering::SeqCst);
             }),
         );
-        r.send(4, "m0>m1/dup".into(), Token::live(Tensor::scalar_f32(2.0)));
+        r.send(4, k("m0>m1/dup"), &"m0>m1/dup", Token::live(Tensor::scalar_f32(2.0)));
         let t0 = Instant::now();
         while hits.load(Ordering::SeqCst) == 0 {
             assert!(t0.elapsed() < Duration::from_secs(5));
@@ -706,8 +762,8 @@ mod tests {
         let t0 = Instant::now();
         let hit = Arc::new(AtomicBool::new(false));
         let h = hit.clone();
-        r.recv_async(6, "m0>m1/a".into(), Box::new(move |_| h.store(true, Ordering::SeqCst)));
-        r.send(6, "m0>m1/a".into(), Token::live(Tensor::scalar_f32(1.0)));
+        r.recv_async(6, k("m0>m1/a"), Box::new(move |_| h.store(true, Ordering::SeqCst)));
+        r.send(6, k("m0>m1/a"), &"m0>m1/a", Token::live(Tensor::scalar_f32(1.0)));
         while !hit.load(Ordering::SeqCst) {
             assert!(t0.elapsed() < Duration::from_secs(5));
             thread::sleep(Duration::from_millis(1));
@@ -717,8 +773,8 @@ mod tests {
         let t1 = Instant::now();
         let hit2 = Arc::new(AtomicBool::new(false));
         let h2 = hit2.clone();
-        r.recv_async(6, "m0>m1/b".into(), Box::new(move |_| h2.store(true, Ordering::SeqCst)));
-        r.send(6, "m0>m1/b".into(), Token::live(Tensor::scalar_f32(2.0)));
+        r.recv_async(6, k("m0>m1/b"), Box::new(move |_| h2.store(true, Ordering::SeqCst)));
+        r.send(6, k("m0>m1/b"), &"m0>m1/b", Token::live(Tensor::scalar_f32(2.0)));
         while !hit2.load(Ordering::SeqCst) {
             assert!(t1.elapsed() < Duration::from_secs(5));
             thread::sleep(Duration::from_micros(200));

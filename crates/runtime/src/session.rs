@@ -633,33 +633,39 @@ impl Session {
         let cancel = CancelToken::new();
         // One shared copy of the feed dictionary for every partition.
         let feeds = Arc::new(feeds.clone());
-        let results: Vec<Result<dcf_exec::RunOutcome>> = std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for (idx, (dev, exec)) in self.executors.iter().enumerate() {
-                let fetches = per_exec_fetches[idx].clone();
-                let config = RunConfig {
-                    cancel: Some(cancel.clone()),
-                    collector: collector
-                        .as_ref()
-                        .map(|c| DeviceCollector::new(dev.0 as u16, c.clone())),
-                    timeout: options.timeout,
-                    step,
-                    max_frame_depth: options
-                        .max_frame_depth
-                        .unwrap_or(dcf_exec::DEFAULT_MAX_FRAME_DEPTH),
-                };
-                let feeds = feeds.clone();
-                handles.push(scope.spawn(move || exec.run_with(feeds, &fetches, config)));
-            }
-            handles
-                .into_iter()
-                .map(|h| {
-                    h.join().unwrap_or_else(|_| {
-                        Err(dcf_exec::ExecError::Internal("executor thread panicked".into()))
-                    })
+        // Start every partition from this thread, then wait for each:
+        // executors run on their own worker pools, so a step spawns no
+        // thread of its own. A panic becomes a structured error (after
+        // aborting the partitions already started), so abort paths never
+        // unwind into the caller.
+        let run_all = || -> Vec<Result<dcf_exec::RunOutcome>> {
+            let started: Vec<_> = self
+                .executors
+                .iter()
+                .enumerate()
+                .map(|(idx, (dev, exec))| {
+                    let config = RunConfig {
+                        cancel: Some(cancel.clone()),
+                        collector: collector
+                            .as_ref()
+                            .map(|c| DeviceCollector::new(dev.0 as u16, c.clone())),
+                        timeout: options.timeout,
+                        step,
+                        max_frame_depth: options
+                            .max_frame_depth
+                            .unwrap_or(dcf_exec::DEFAULT_MAX_FRAME_DEPTH),
+                    };
+                    exec.start(feeds.clone(), &per_exec_fetches[idx], config)
                 })
-                .collect()
-        });
+                .collect();
+            started.into_iter().map(|run| run.and_then(dcf_exec::RunHandle::wait)).collect()
+        };
+        let results = std::panic::catch_unwind(std::panic::AssertUnwindSafe(run_all))
+            .unwrap_or_else(|_| {
+                let err = dcf_exec::ExecError::Internal("executor thread panicked".into());
+                cancel.fire(err.clone());
+                vec![Err(err)]
+            });
 
         // Tear down exactly this run's state and nothing else: purge its
         // still-delayed transfers, reclaim its unconsumed rendezvous
@@ -736,6 +742,36 @@ impl Session {
 mod session_tests {
     use super::*;
     use dcf_graph::GraphBuilder;
+
+    #[test]
+    fn rendezvous_tombstones_stay_bounded_over_many_steps() {
+        // Every run ends with `drop_step`, which tombstones the step.
+        // Tombstones must last only while a straggler can still land, not
+        // accumulate one per run for the life of the session.
+        let mut cluster = Cluster::new();
+        cluster.add_device(0, dcf_device::DeviceProfile::cpu());
+        cluster.add_device(1, dcf_device::DeviceProfile::cpu());
+        let mut b = GraphBuilder::new();
+        let a = b.placeholder("a", dcf_tensor::DType::F32);
+        let x = b.with_device("/machine:1/cpu:0", |b| b.add(a, a).unwrap());
+        let y = b.with_device("/machine:0/cpu:0", |b| b.neg(x).unwrap());
+        let options = SessionOptions {
+            // Delayed delivery, so transfers go through the timer thread.
+            network: crate::NetworkModel {
+                cross_latency: Duration::from_micros(5),
+                ..crate::NetworkModel::default()
+            },
+            ..SessionOptions::functional()
+        };
+        let sess = Session::new(b.finish().unwrap(), cluster, options).unwrap();
+        for step in 0..10_000 {
+            let feeds = HashMap::from([("a".to_string(), Tensor::scalar_f32(step as f32))]);
+            let out = sess.eval(&feeds, &[y]).unwrap();
+            assert_eq!(out[0].scalar_as_f32().unwrap(), -2.0 * step as f32);
+            assert!(sess.rendezvous.tombstones() <= 1, "step {step}: tombstones accumulate");
+        }
+        assert!(sess.quiescent());
+    }
 
     #[test]
     fn local_session_runs() {

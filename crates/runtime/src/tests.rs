@@ -269,3 +269,146 @@ fn placeholder_feeds_reach_remote_partitions() {
     let out = sess.eval(&feeds, &[z]).unwrap();
     assert_eq!(out[0].scalar_as_f32().unwrap(), -3.5);
 }
+
+/// The nested loop of `nested_distributed_loops`, with the inner body's
+/// add on machine 1: every inner iteration crosses the machines.
+fn nested_cross_machine_loop(b: &mut GraphBuilder, outer_trips: i64) -> Vec<TensorRef> {
+    let i0 = b.scalar_i64(0);
+    let t0 = b.scalar_i64(0);
+    let lim = b.scalar_i64(outer_trips);
+    b.while_loop(
+        &[i0, t0],
+        |g, v| g.less(v[0], lim),
+        |g, v| {
+            let j0 = g.scalar_i64(0);
+            let inner = g.while_loop(
+                &[j0, v[1]],
+                |g, w| g.less(w[0], v[0]),
+                |g, w| {
+                    let one = g.scalar_i64(1);
+                    let j = g.add(w[0], one)?;
+                    let t = g.with_device("/machine:1/cpu:0", |g| g.add(w[1], one))?;
+                    Ok(vec![j, g.with_device("/machine:0/cpu:0", |g| g.identity(t))?])
+                },
+                WhileOptions::default(),
+            )?;
+            let one = g.scalar_i64(1);
+            Ok(vec![g.add(v[0], one)?, inner[1]])
+        },
+        WhileOptions::default(),
+    )
+    .unwrap()
+}
+
+#[test]
+fn partitions_derive_equal_rendezvous_keys() {
+    // Each partition interns frame names on its own, so its frame ids
+    // differ; the keys built from them must not. Rebuild, per partition,
+    // the key the executor uses for a transfer in iteration `iter` of the
+    // inner loop spawned by outer iteration `pi`, and compare.
+    use dcf_exec::{ExecGraph, FrameKey, RendezvousKey, Tag};
+    use dcf_graph::OpKind;
+    use std::sync::Arc;
+    let cluster = two_machines();
+    let mut b = GraphBuilder::new();
+    nested_cross_machine_loop(&mut b, 3);
+    let g = b.finish().unwrap();
+    let placement = crate::place_nodes(&g, &cluster).unwrap();
+    let pg = crate::partition_graph(g, placement, &cluster).unwrap();
+    let egs: Vec<Arc<ExecGraph>> =
+        pg.members.iter().map(|m| ExecGraph::partition(pg.graph.clone(), m)).collect();
+
+    // Frame-name hashes, keyed by name, as each partition computed them.
+    let frame_hash = |eg: &ExecGraph, name: &str| -> u64 {
+        let enter = pg
+            .graph
+            .nodes()
+            .iter()
+            .find(|n| {
+                eg.member[n.id.0] && matches!(&n.op, OpKind::Enter { frame, .. } if frame == name)
+            })
+            .expect("both partitions enter every loop frame");
+        eg.frame_hash(eg.enter_frame(enter.id).unwrap())
+    };
+    // Loop frames by nesting depth: [outer, inner].
+    let mut frames: Vec<(usize, String)> = pg
+        .graph
+        .nodes()
+        .iter()
+        .filter_map(|n| match &n.op {
+            OpKind::Enter { frame, .. } => Some((pg.graph.while_chain(n.ctx).len(), frame.clone())),
+            _ => None,
+        })
+        .collect();
+    frames.sort();
+    frames.dedup();
+    assert_eq!(frames.len(), 2, "outer and inner loop frames");
+    let (outer, inner) = (&frames[0].1, &frames[1].1);
+
+    // Every Send on one partition meets exactly its Recv on the other.
+    let mut pairs = Vec::new();
+    for send in pg.graph.nodes() {
+        let OpKind::Send { key_base, .. } = &send.op else { continue };
+        let recv = pg
+            .graph
+            .nodes()
+            .iter()
+            .find(|n| matches!(&n.op, OpKind::Recv { key_base: k, .. } if k == key_base))
+            .unwrap();
+        let (ps, pr) = (pg.placement[send.id.0].0, pg.placement[recv.id.0].0);
+        assert_ne!(ps, pr);
+        pairs.push(((ps, send.id), (pr, recv.id)));
+    }
+    assert!(pairs.len() >= 2, "data and predicate transfers");
+
+    let key = |d: usize, node, frame: &str, pi: u64, iter: u64| -> RendezvousKey {
+        let eg = &egs[d];
+        let outer_key = FrameKey::ROOT.child(0, frame_hash(eg, outer));
+        let frame =
+            if frame == outer { outer_key } else { outer_key.child(pi, frame_hash(eg, inner)) };
+        RendezvousKey { edge: eg.edge_key(node).unwrap(), tag: Tag { frame, iter } }
+    };
+    let mut seen = std::collections::HashSet::new();
+    for &((ps, send), (pr, recv)) in &pairs {
+        for frame in [outer.as_str(), inner.as_str()] {
+            for pi in 0..3 {
+                for iter in 0..3 {
+                    let k = key(ps, send, frame, pi, iter);
+                    assert_eq!(k, key(pr, recv, frame, pi, iter), "partitions disagree");
+                    // Distinct (edge, frame, parent iteration, iteration)
+                    // never collide; the outer frame has no parent
+                    // iteration beyond the root's.
+                    if frame == inner.as_str() || pi == 0 {
+                        assert!(seen.insert(k), "key collision at {frame} {pi} {iter}");
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn two_machine_inline_hand_off_stays_on_each_executors_pool() {
+    // Every inner iteration's Recv callback fires on the sending
+    // executor's worker, which must queue the Recv's successors on the
+    // receiving executor rather than run them inline. The executor's
+    // debug assertion checks that only its own workers run its jobs
+    // inline; a violation panics a worker, which the deadline turns into
+    // a failed run.
+    let mut b = GraphBuilder::new();
+    let outs = nested_cross_machine_loop(&mut b, 8);
+    let sess = Session::new(
+        b.finish().unwrap(),
+        two_machines(),
+        SessionOptions {
+            executor: dcf_exec::ExecutorOptions { workers: 2, ..Default::default() },
+            ..SessionOptions::functional()
+        },
+    )
+    .unwrap();
+    let opts = crate::RunOptions::default().with_timeout(std::time::Duration::from_secs(20));
+    for _ in 0..20 {
+        let (out, _) = sess.run(&opts, &HashMap::new(), &outs);
+        assert_eq!(out.unwrap()[1].scalar_as_i64().unwrap(), 28); // 0 + 1 + ... + 7
+    }
+}
