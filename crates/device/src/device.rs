@@ -32,7 +32,8 @@ pub type KernelOutput = Result<Vec<Tensor>, String>;
 /// A kernel submission: name, modeled duration, dependencies, and the real
 /// computation to perform.
 pub struct Kernel {
-    /// Name recorded in the timeline.
+    /// Name recorded in the timeline. Read only when `collector` is set,
+    /// so an untraced submitter may leave it empty.
     pub name: String,
     /// Modeled duration on this device.
     pub modeled: Duration,
@@ -171,6 +172,23 @@ impl Device {
             kernel.cancel,
             kernel.collector,
         )
+    }
+
+    /// Runs a compute kernel modeled shorter than
+    /// [`crate::INLINE_KERNEL_BELOW`] on the calling thread, provided the
+    /// compute stream has nothing queued or running. The kernel holds the
+    /// stream while it runs and is recorded into `collector` on the
+    /// compute track, like a kernel of the stream thread. Returns `None`,
+    /// calling neither `name` nor `compute`, otherwise; the caller then
+    /// submits the kernel.
+    pub fn run_compute_inline<R>(
+        &self,
+        modeled: Duration,
+        collector: Option<&DeviceCollector>,
+        name: impl FnOnce() -> String,
+        compute: impl FnOnce() -> R,
+    ) -> Option<R> {
+        self.compute.try_run_inline(modeled, collector, name, compute)
     }
 
     fn stream(&self, kind: StreamKind) -> &Stream {

@@ -48,4 +48,4 @@ pub use stats::{
     DeviceCollector, DeviceStepStats, FrameStats, KernelStats, MemStats, NodeStats, OptimizeStats,
     RendezvousKind, RendezvousWait, StepStats, StepStatsCollector, TraceLevel, TransferStats,
 };
-pub use stream::Event;
+pub use stream::{Event, INLINE_KERNEL_BELOW};

@@ -2,7 +2,7 @@
 
 use crate::stats::{DeviceCollector, KernelStats};
 use dcf_sync::{Condvar, Mutex};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::sync::Arc;
 use std::thread;
@@ -47,6 +47,14 @@ impl Event {
         *self.inner.0.lock()
     }
 }
+
+/// Kernels modeled shorter than this run on the thread that dispatches
+/// them when their stream is idle ([`crate::Device::run_compute_inline`]).
+/// Step stats time kernels in whole microseconds
+/// ([`DeviceCollector::rel_us`]), so such a kernel occupies its stream for
+/// less than the kernel clock can show, while handing it to the stream
+/// thread and back costs two thread switches of several microseconds each.
+pub const INLINE_KERNEL_BELOW: Duration = Duration::from_micros(1);
 
 /// Modeled durations below this are served purely by spinning: an OS sleep
 /// is not worth its overshoot at this scale, and copy/compute kernels this
@@ -150,14 +158,41 @@ struct Task {
     collector: Option<DeviceCollector>,
 }
 
+/// Who holds a stream: the kernels queued on it, running on its thread or
+/// running inline, and the gate whichever kernel is running holds. The
+/// gate orders one kernel's effects before the next kernel's; the count
+/// only decides whether an inline claim would jump the queue. Giving a
+/// place back (`Ordering::Release`) pairs with an inline claim's
+/// `Ordering::Acquire`.
+#[derive(Default)]
+struct Occupancy {
+    kernels: AtomicUsize,
+    gate: Mutex<()>,
+}
+
+/// A kernel's place in its stream's count, given back when dropped, also
+/// when the kernel panics.
+struct Place<'a>(&'a AtomicUsize);
+
+impl Drop for Place<'_> {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::Release);
+    }
+}
+
 /// A FIFO kernel queue with a dedicated worker thread.
 ///
-/// Kernels on one stream execute strictly in submission order. Each kernel
-/// first waits for its cross-stream dependencies, then runs its real
-/// computation, then waits out the remainder of its *modeled* duration
-/// before signaling completion — so stream occupancy matches the modeled
-/// hardware even though values are computed on the host.
+/// Kernels on one stream execute strictly in submission order, one at a
+/// time. Each kernel first waits for its cross-stream dependencies, then
+/// runs its real computation, then waits out the remainder of its
+/// *modeled* duration before signaling completion — so stream occupancy
+/// matches the modeled hardware even though values are computed on the
+/// host. A kernel shorter than [`INLINE_KERNEL_BELOW`] may instead run on
+/// its caller ([`Stream::try_run_inline`]), one at a time and in order
+/// with the stream thread's kernels.
 pub(crate) struct Stream {
+    label: String,
+    occupancy: Arc<Occupancy>,
     sender: Option<mpsc::Sender<Task>>,
     handle: Option<thread::JoinHandle<()>>,
 }
@@ -168,6 +203,9 @@ impl Stream {
     /// so runs tracing concurrently never observe each other's kernels.
     pub(crate) fn spawn(label: String) -> Stream {
         let (sender, receiver) = mpsc::channel::<Task>();
+        let occupancy = Arc::new(Occupancy::default());
+        let occ = occupancy.clone();
+        let thread_label = label.clone();
         let handle = thread::Builder::new()
             .name(label.clone())
             .spawn(move || {
@@ -175,16 +213,21 @@ impl Stream {
                     for ev in &task.wait_for {
                         ev.wait();
                     }
-                    let t0 = Instant::now();
-                    (task.work)();
-                    match &task.cancel {
-                        None => wait_until(t0 + task.modeled),
-                        Some(flag) => wait_until_cancellable(t0 + task.modeled, flag),
-                    }
-                    let end = Instant::now();
+                    let (t0, end) = {
+                        let _queued = Place(&occ.kernels);
+                        // Waits out a kernel running inline on its caller.
+                        let _gate = occ.gate.lock();
+                        let t0 = Instant::now();
+                        (task.work)();
+                        match &task.cancel {
+                            None => wait_until(t0 + task.modeled),
+                            Some(flag) => wait_until_cancellable(t0 + task.modeled, flag),
+                        }
+                        (t0, Instant::now())
+                    };
                     if let Some(dc) = &task.collector {
                         dc.kernel(KernelStats {
-                            stream: label.clone(),
+                            stream: thread_label.clone(),
                             kernel: task.name.clone(),
                             start_us: dc.rel_us(t0),
                             end_us: dc.rel_us(end),
@@ -197,7 +240,46 @@ impl Stream {
                 }
             })
             .expect("failed to spawn stream thread");
-        Stream { sender: Some(sender), handle: Some(handle) }
+        Stream { label, occupancy, sender: Some(sender), handle: Some(handle) }
+    }
+
+    /// Runs a kernel modeled shorter than [`INLINE_KERNEL_BELOW`] on the
+    /// calling thread, provided the stream has nothing queued or running.
+    /// The kernel holds the stream while it runs, so a kernel submitted
+    /// meanwhile queues behind it; it waits out its modeled duration and
+    /// is recorded into `collector` under this stream's label, like a
+    /// kernel of the stream thread. Returns `None`, calling neither `name`
+    /// nor `work`, when the kernel is too long or the stream is busy.
+    pub(crate) fn try_run_inline<R>(
+        &self,
+        modeled: Duration,
+        collector: Option<&DeviceCollector>,
+        name: impl FnOnce() -> String,
+        work: impl FnOnce() -> R,
+    ) -> Option<R> {
+        if modeled >= INLINE_KERNEL_BELOW {
+            return None;
+        }
+        // Take the gate before the claim, so the stream thread cannot start
+        // a kernel submitted after the claim ahead of this one.
+        let gate = self.occupancy.gate.try_lock()?;
+        self.occupancy.kernels.compare_exchange(0, 1, Ordering::Acquire, Ordering::Relaxed).ok()?;
+        let claim = Place(&self.occupancy.kernels);
+        let t0 = Instant::now();
+        let out = work();
+        wait_until(t0 + modeled);
+        let end = Instant::now();
+        drop(gate);
+        drop(claim);
+        if let Some(dc) = collector {
+            dc.kernel(KernelStats {
+                stream: self.label.clone(),
+                kernel: name(),
+                start_us: dc.rel_us(t0),
+                end_us: dc.rel_us(end),
+            });
+        }
+        Some(out)
     }
 
     /// Enqueues a kernel; returns its completion event immediately.
@@ -215,16 +297,18 @@ impl Stream {
         let done = Event::new();
         let task =
             Task { name, modeled, wait_for, work, on_done, done: done.clone(), cancel, collector };
+        self.occupancy.kernels.fetch_add(1, Ordering::AcqRel);
         let Some(sender) = self.sender.as_ref() else {
-            // Stream shut down (device dropping): run inline so callers
-            // never hang on an event that would otherwise go unsignaled.
-            Stream::run_inline(task);
+            // Stream shut down (device dropping): run on the caller so
+            // callers never hang on an event that would otherwise go
+            // unsignaled.
+            self.run_shut_down(task);
             return done;
         };
         if let Err(mpsc::SendError(task)) = sender.send(task) {
             // The worker exited between our check and the send (shutdown
-            // race); same inline fallback instead of a panic.
-            Stream::run_inline(task);
+            // race); same fallback instead of a panic.
+            self.run_shut_down(task);
         }
         done
     }
@@ -232,11 +316,15 @@ impl Stream {
     /// Degraded path for kernels submitted to an already-terminated
     /// stream: execute immediately on the caller, skipping modeled time
     /// (the device is going away; only completion semantics matter).
-    fn run_inline(task: Task) {
+    fn run_shut_down(&self, task: Task) {
         for ev in &task.wait_for {
             ev.wait();
         }
-        (task.work)();
+        {
+            let _queued = Place(&self.occupancy.kernels);
+            let _gate = self.occupancy.gate.lock();
+            (task.work)();
+        }
         task.done.signal();
         if let Some(cb) = task.on_done {
             cb();
@@ -411,6 +499,157 @@ mod tests {
         let other_stats = other.finish();
         assert_eq!(other_stats.devices[0].kernel_stats.len(), 1);
         assert_eq!(other_stats.devices[0].kernel_stats[0].kernel, "k1");
+    }
+
+    /// A kernel the stream clock cannot time.
+    const SHORT: Duration = Duration::from_nanos(100);
+
+    /// Submits a kernel that appends `tag` to `log` when it runs.
+    fn submit_logged(s: &Stream, modeled: Duration, log: &Arc<Mutex<Vec<u32>>>, tag: u32) -> Event {
+        let log = log.clone();
+        s.submit(
+            String::new(),
+            modeled,
+            vec![],
+            Box::new(move || log.lock().push(tag)),
+            None,
+            None,
+            None,
+        )
+    }
+
+    #[test]
+    fn idle_stream_runs_short_kernel_on_caller() {
+        use crate::stats::{StepStatsCollector, TraceLevel};
+
+        let s = Stream::spawn("dev/compute".into());
+        let collector = Arc::new(StepStatsCollector::new(TraceLevel::Full));
+        let dc = DeviceCollector::new(collector.register_device("dev"), collector.clone());
+        let ran_on =
+            s.try_run_inline(SHORT, Some(&dc), || "short".into(), || thread::current().id());
+        assert_eq!(ran_on, Some(thread::current().id()));
+        // At the kernel clock's resolution the kernel takes the stream
+        // thread, and neither closure is called.
+        let long = s.try_run_inline(
+            INLINE_KERNEL_BELOW,
+            Some(&dc),
+            || unreachable!("name of a kernel that did not run"),
+            || unreachable!("work of a kernel that did not run"),
+        );
+        assert!(long.is_none());
+        // The stream is free again afterwards, for both paths.
+        s.submit("queued".into(), SHORT, vec![], Box::new(|| {}), None, None, Some(dc.clone()))
+            .wait();
+        assert_eq!(s.try_run_inline(SHORT, None, String::new, || 7), Some(7));
+        let stats = collector.finish();
+        let kernels: Vec<_> =
+            stats.devices[0].kernel_stats.iter().map(|k| k.kernel.as_str()).collect();
+        assert_eq!(kernels, ["short", "queued"]);
+        assert!(stats.devices[0].kernel_stats.iter().all(|k| k.stream == "dev/compute"));
+    }
+
+    #[test]
+    fn short_kernel_behind_long_kernel_completes_after_it() {
+        let s = Stream::spawn("test".into());
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let t0 = Instant::now();
+        let long = submit_logged(&s, Duration::from_millis(20), &log, 0);
+        // The stream is busy, so the short kernel may not run inline.
+        assert!(s.try_run_inline(SHORT, None, String::new, || log.lock().push(9)).is_none());
+        let short = submit_logged(&s, SHORT, &log, 1);
+        short.wait();
+        assert!(long.is_signaled(), "the short kernel completed before the long one");
+        assert!(t0.elapsed() >= Duration::from_millis(20));
+        assert_eq!(*log.lock(), [0, 1]);
+    }
+
+    #[test]
+    fn kernel_submitted_during_inline_kernel_waits_for_it() {
+        let s = Stream::spawn("test".into());
+        let started = Arc::new(Mutex::new(None));
+        let mut queued = None;
+        let inline_end = s
+            .try_run_inline(SHORT, None, String::new, || {
+                let started = started.clone();
+                queued = Some(s.submit(
+                    String::new(),
+                    Duration::ZERO,
+                    vec![],
+                    Box::new(move || *started.lock() = Some(Instant::now())),
+                    None,
+                    None,
+                    None,
+                ));
+                thread::sleep(Duration::from_millis(20));
+                Instant::now()
+            })
+            .expect("an idle stream runs a short kernel inline");
+        queued.expect("submitted").wait();
+        let start = started.lock().expect("the queued kernel ran");
+        assert!(start >= inline_end, "the stream thread started a kernel under an inline one");
+    }
+
+    #[test]
+    fn stream_runs_one_kernel_at_a_time_in_submission_order() {
+        // Four submitters race short kernels onto one stream, each trying
+        // the inline path first and queueing when the stream is busy, with
+        // a longer queued kernel every few rounds. No two kernels may
+        // overlap, and each submitter's kernels run in its order.
+        let s = Stream::spawn("test".into());
+        let running = Arc::new(AtomicUsize::new(0));
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let counts: Vec<(usize, usize)> = thread::scope(|scope| {
+            let workers: Vec<_> = (0..4u32)
+                .map(|w| {
+                    let (s, running, log) = (&s, &running, &log);
+                    scope.spawn(move || {
+                        let kernel = |seq: u32| {
+                            let (running, log) = (running.clone(), log.clone());
+                            move || {
+                                assert_eq!(running.fetch_add(1, Ordering::SeqCst), 0, "overlap");
+                                log.lock().push((w, seq));
+                                std::hint::black_box((0..200).sum::<u64>());
+                                running.fetch_sub(1, Ordering::SeqCst);
+                            }
+                        };
+                        let (mut inline, mut events) = (0, Vec::new());
+                        for seq in 0..500 {
+                            let modeled =
+                                if seq % 50 == 0 { Duration::from_micros(5) } else { SHORT };
+                            match s.try_run_inline(modeled, None, String::new, kernel(seq)) {
+                                Some(()) => inline += 1,
+                                None => events.push(s.submit(
+                                    String::new(),
+                                    modeled,
+                                    vec![],
+                                    Box::new(kernel(seq)),
+                                    None,
+                                    None,
+                                    None,
+                                )),
+                            }
+                            // Let the stream drain now and then, so that
+                            // short kernels find it idle.
+                            if seq % 8 == 7 {
+                                events.iter().for_each(Event::wait);
+                            }
+                        }
+                        events.iter().for_each(Event::wait);
+                        (inline, events.len())
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|h| h.join().expect("submitter panicked")).collect()
+        });
+        let inline: usize = counts.iter().map(|c| c.0).sum();
+        let queued: usize = counts.iter().map(|c| c.1).sum();
+        assert!(inline > 0 && queued > 0, "both paths must run: {inline} inline, {queued} queued");
+        let log = log.lock();
+        assert_eq!(log.len(), 4 * 500);
+        for w in 0..4 {
+            let seqs: Vec<u32> = log.iter().filter(|(x, _)| *x == w).map(|&(_, q)| q).collect();
+            assert_eq!(seqs, (0..500).collect::<Vec<_>>(), "submitter {w} ran out of order");
+        }
     }
 
     #[test]

@@ -278,7 +278,7 @@ struct RunShared {
     /// covering every planned output (see [`crate::MemoryPlan`]). Planned
     /// tokens carry clones of this Arc instead of fresh charges, so the
     /// whole region costs one allocator round-trip per run. `None` when
-    /// the partition has no plan.
+    /// the partition has no plan or the device could not grant the region.
     region_charge: Option<Arc<Charge>>,
     /// Per-run step-stats handle; `None` keeps the hot path at a single
     /// `Option` check per activation.
@@ -345,45 +345,31 @@ impl Executor {
         fetches: &[TensorRef],
         config: RunConfig,
     ) -> Result<RunOutcome> {
-        self.start(feeds, fetches, config)?.wait()
+        self.start(feeds, fetches, config).wait()
     }
 
     /// Starts a run without blocking: seeds the sources on the worker pool
     /// and returns a handle to wait on. A caller driving several
     /// partitions starts them all from one thread and then waits for each,
-    /// so a step needs no thread of its own per partition. If the run
-    /// cannot start (its memory-plan reservation fails), `config.cancel`
-    /// fires so peer partitions abort instead of waiting on it.
+    /// so a step needs no thread of its own per partition.
     pub fn start(
         &self,
         feeds: Arc<HashMap<String, Tensor>>,
         fetches: &[TensorRef],
         config: RunConfig,
-    ) -> Result<RunHandle> {
+    ) -> RunHandle {
         let RunConfig { cancel, collector, timeout, step, max_frame_depth } = config;
         let fetch_set: HashSet<(usize, usize)> =
             fetches.iter().map(|t| (t.node.0, t.port)).collect();
         // Acquire the static memory plan's region reservation before any
         // node runs: planned outputs share this one charge for the whole
-        // run, so a planned step pays exactly one allocator round-trip.
+        // run, so a planned step pays exactly one allocator round-trip. A
+        // region the device cannot grant right now leaves the step on
+        // per-token charges, as an empty plan would: those are charged as
+        // values are born and refunded as they die, so they need less.
         let region_charge = match self.eg.plan.region_bytes() {
             0 => None,
-            bytes => {
-                match Charge::new_retrying(
-                    self.device.allocator(),
-                    bytes,
-                    self.options.oom_patience,
-                ) {
-                    Ok(charge) => Some(charge),
-                    Err(e) => {
-                        let e = ExecError::from(e);
-                        if let Some(token) = &cancel {
-                            token.fire(e.clone());
-                        }
-                        return Err(e);
-                    }
-                }
-            }
+            bytes => Charge::new(self.device.allocator(), bytes).ok(),
         };
         let root = Frame::root();
         let shared = Arc::new(RunShared {
@@ -423,6 +409,15 @@ impl Executor {
 
         // The deadline runs from the start of the run.
         let deadline = timeout.map(|t| (t, std::time::Instant::now() + t));
+        // Initialize the partition's variables before any node runs: an
+        // update (AssignAdd, AssignSub) need not depend on a read of its
+        // variable, and a worker running a chain of ready successors can
+        // reach it before the variable's own source.
+        for src in &self.eg.sources {
+            if let OpKind::Variable { name, init } = &self.eg.graph.node(*src).op {
+                self.resources.variable_read(name, init);
+            }
+        }
         // Seed the root sources; the persistent pool starts draining
         // immediately.
         {
@@ -434,7 +429,7 @@ impl Executor {
         if shared.outstanding.load(Ordering::SeqCst) == 0 {
             shared.complete(Ok(()));
         }
-        Ok(RunHandle { shared, root, fetches: fetches.to_vec(), deadline })
+        RunHandle { shared, root, fetches: fetches.to_vec(), deadline }
     }
 }
 
@@ -790,9 +785,10 @@ impl RunShared {
                 self.outstanding.fetch_add(1, Ordering::SeqCst);
                 let start_us = dc.now_us();
                 let was_dead = self.execute_node_inner(frame, i, node_id);
-                // For asynchronous ops (device kernels, Recv, swap-in) this
+                // For asynchronous ops (stream kernels, Recv, swap-in) this
                 // span covers dispatch only; the device's kernel track shows
-                // the modeled execution.
+                // the modeled execution. A kernel run inline appears in
+                // both.
                 dc.node(NodeStats {
                     node: self.eg.graph.node(node_id).name.clone(),
                     frame: frame.path().to_string(),
@@ -1121,31 +1117,45 @@ impl RunShared {
                 }
                 with_values(&mut tokens, |values| {
                     let cm = self.device.cost_model();
-                    let cost = op_cost(op, values, cm);
-                    let duration = cm.duration(cost);
-                    if is_compute_op(op)
+                    let duration = cm.duration(op_cost(op, values, cm));
+                    let result = if is_compute_op(op)
                         && cm.profile().is_gpu
                         && duration > std::time::Duration::ZERO
                     {
-                        // Submit to the device compute stream; completion
-                        // is asynchronous via callback (the executor treats
-                        // the kernel as done once enqueued, §4.4).
-                        self.submit_compute(frame, i, node_id, op, duration, values);
-                        Ok(None)
-                    } else {
-                        let mut outs = Outputs::new();
-                        for v in execute_op(op, values).map_err(kerr)? {
-                            outs.push(self.materialize_output(node_id, v)?);
+                        // A kernel too short for the stream clock runs here
+                        // when the compute stream is idle; any other goes
+                        // to the stream, whose completion callback
+                        // finishes the activation.
+                        let collector = self.kernel_collector();
+                        let inline = self.device.run_compute_inline(
+                            duration,
+                            collector,
+                            || node.name.clone(),
+                            || execute_op(op, values),
+                        );
+                        match inline {
+                            Some(result) => result,
+                            None => {
+                                self.submit_compute(frame, i, node_id, op, duration, values);
+                                return Ok(None);
+                            }
                         }
-                        Ok(Some(outs))
+                    } else {
+                        execute_op(op, values)
+                    };
+                    let mut outs = Outputs::new();
+                    for v in result.map_err(kerr)? {
+                        outs.push(self.materialize_output(node_id, v)?);
                     }
+                    Ok(Some(outs))
                 })
             }
         }
     }
 
     /// Submits a compute op to the device's compute stream; the stream's
-    /// completion callback finishes the activation.
+    /// completion callback finishes the activation. The kernel's name is
+    /// rendered only for a collector or an error.
     fn submit_compute(
         self: &Arc<Self>,
         frame: &Arc<Frame>,
@@ -1156,18 +1166,22 @@ impl RunShared {
         values: &[&Tensor],
     ) {
         let op = op.clone();
-        let name = self.eg.graph.node(node_id).name.clone();
         let owned: Vec<Tensor> = values.iter().map(|&t| t.clone()).collect();
+        let collector = self.kernel_collector().cloned();
+        let name = match collector {
+            Some(_) => self.eg.graph.node(node_id).name.clone(),
+            None => String::new(),
+        };
         let sh = self.clone();
         let fr = frame.clone();
         self.device.submit_with_callback(
             StreamKind::Compute,
             Kernel {
-                name: name.clone(),
+                name,
                 modeled: duration,
                 wait_for: vec![],
                 cancel: self.cancel_flag.clone(),
-                collector: self.kernel_collector(),
+                collector,
                 compute: Box::new(move || {
                     let refs: Vec<&Tensor> = owned.iter().collect();
                     execute_op(&op, &refs)
@@ -1187,7 +1201,10 @@ impl RunShared {
                     }
                     sh.finish_op(&fr, i, node_id, outs, false);
                 }
-                Err(detail) => sh.fail(ExecError::Kernel { node: name, detail }),
+                Err(detail) => {
+                    let node = sh.eg.graph.node(node_id).name.clone();
+                    sh.fail(ExecError::Kernel { node, detail })
+                }
             }),
         );
     }
@@ -1218,9 +1235,9 @@ impl RunShared {
     /// submissions, so stream threads record kernel timings into the
     /// owning step's stats (not a device-global slot another concurrent
     /// run could be using). Kernel timings are device-level events, so
-    /// only [`TraceLevel::Full`] runs pay for the clone per submission.
-    fn kernel_collector(&self) -> Option<DeviceCollector> {
-        self.collector.as_ref().filter(|dc| dc.collector().level() >= TraceLevel::Full).cloned()
+    /// only [`TraceLevel::Full`] runs record them.
+    fn kernel_collector(&self) -> Option<&DeviceCollector> {
+        self.collector.as_ref().filter(|dc| dc.collector().level() >= TraceLevel::Full)
     }
 
     /// Like [`RunShared::materialize`], for compute outputs with a known
@@ -1281,7 +1298,7 @@ impl RunShared {
                         modeled: cm.copy_duration(bytes),
                         wait_for: vec![],
                         cancel: self.cancel_flag.clone(),
-                        collector: self.kernel_collector(),
+                        collector: self.kernel_collector().cloned(),
                         compute: Box::new(move || {
                             drop(charge);
                             Ok(vec![])
@@ -1400,7 +1417,7 @@ impl RunShared {
                         modeled: cm.copy_duration(bytes),
                         wait_for: vec![d2h_done],
                         cancel: self.cancel_flag.clone(),
-                        collector: self.kernel_collector(),
+                        collector: self.kernel_collector().cloned(),
                         compute: Box::new(move || Ok(vec![value])),
                     },
                     Box::new(move |result| match result {

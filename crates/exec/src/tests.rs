@@ -286,26 +286,32 @@ fn cond_inside_while_alternates() {
 
 #[test]
 fn variables_accumulate_across_runs() {
-    let mut b = GraphBuilder::new();
-    let w = b.variable("w", Tensor::scalar_f32(0.0));
-    let one = b.scalar_f32(1.0);
-    let upd = b.assign_add(w, one).unwrap();
-    let graph = Arc::new(b.finish().unwrap());
-    let eg = ExecGraph::local(graph);
-    let device = Device::new(DeviceId(0), 0, DeviceProfile::cpu());
-    let resources = ResourceManager::new();
-    let exec = Executor::new(
-        eg,
-        device,
-        resources.clone(),
-        Arc::new(InMemoryRendezvous::new()),
-        ExecutorOptions::default(),
-    );
-    for expect in [1.0f32, 2.0, 3.0] {
-        let out = exec.run(&HashMap::new(), &[upd]).unwrap();
-        assert_eq!(out.values[0].scalar_as_f32().unwrap(), expect);
+    // Declared after its update's input, the variable's source is seeded
+    // last, and the one worker reaches the update first: the update must
+    // still find the variable initialized.
+    for declare_first in [true, false] {
+        let mut b = GraphBuilder::new();
+        let early = declare_first.then(|| b.variable("w", Tensor::scalar_f32(0.0)));
+        let one = b.scalar_f32(1.0);
+        let w = early.unwrap_or_else(|| b.variable("w", Tensor::scalar_f32(0.0)));
+        let upd = b.assign_add(w, one).unwrap();
+        let graph = Arc::new(b.finish().unwrap());
+        let eg = ExecGraph::local(graph);
+        let device = Device::new(DeviceId(0), 0, DeviceProfile::cpu());
+        let resources = ResourceManager::new();
+        let exec = Executor::new(
+            eg,
+            device,
+            resources.clone(),
+            Arc::new(InMemoryRendezvous::new()),
+            ExecutorOptions { workers: 1, ..ExecutorOptions::default() },
+        );
+        for expect in [1.0f32, 2.0, 3.0] {
+            let out = exec.run(&HashMap::new(), &[upd]).unwrap();
+            assert_eq!(out.values[0].scalar_as_f32().unwrap(), expect);
+        }
+        assert_eq!(resources.variable_value("w").unwrap().scalar_as_f32().unwrap(), 3.0);
     }
-    assert_eq!(resources.variable_value("w").unwrap().scalar_as_f32().unwrap(), 3.0);
 }
 
 #[test]
@@ -721,4 +727,153 @@ fn wide_fan_out_spreads_across_workers() {
         .map(|n| n.worker)
         .collect();
     assert!(workers.len() > 1, "100-wide fan-out ran on one worker only");
+}
+
+/// An executor on `device` with `workers` workers.
+fn executor_on(graph: Arc<dcf_graph::Graph>, device: Arc<Device>, workers: usize) -> Executor {
+    Executor::new(
+        ExecGraph::local(graph),
+        device,
+        ResourceManager::new(),
+        Arc::new(InMemoryRendezvous::new()),
+        ExecutorOptions { workers, ..ExecutorOptions::default() },
+    )
+}
+
+/// A K40-profile device at `time_scale`.
+fn k40(time_scale: f64) -> Arc<Device> {
+    Device::new(DeviceId(0), 0, DeviceProfile::gpu_k40().with_time_scale(time_scale))
+}
+
+#[test]
+fn traced_inline_kernels_appear_on_the_compute_track() {
+    // At time scale 1e-3 every K40 kernel models under a microsecond, and
+    // a chain leaves the stream idle for each, so each runs inline on the
+    // dispatching worker: inside its node's span, on the compute track.
+    use dcf_device::{DeviceCollector, StepStatsCollector, TraceLevel};
+    let mut b = GraphBuilder::new();
+    let x = b.constant(Tensor::ones(&[8, 8]));
+    let mut cur = x;
+    for _ in 0..6 {
+        let m = b.matmul(cur, x).unwrap();
+        cur = b.tanh(m).unwrap();
+    }
+    let graph = Arc::new(b.finish().unwrap());
+    let exec = executor_on(graph, k40(1e-3), 1);
+    let collector = Arc::new(StepStatsCollector::new(TraceLevel::Full));
+    collector.register_device("/machine:0/k40:0");
+    let config = crate::RunConfig {
+        collector: Some(DeviceCollector::new(0, collector.clone())),
+        ..crate::RunConfig::default()
+    };
+    let out = exec.run_with(Arc::new(HashMap::new()), &[cur], config).unwrap();
+    assert_eq!(out.values[0].shape().dims(), &[8, 8]);
+    let stats = collector.finish();
+    let dev = &stats.devices[0];
+    assert_eq!(dev.kernel_stats.len(), 12, "one kernel per matmul and tanh");
+    for k in &dev.kernel_stats {
+        assert_eq!(k.stream, "/machine:0/k40:0/compute");
+        let node = dev.node_stats.iter().find(|n| n.node == k.kernel).expect("kernel's node");
+        assert!(
+            node.start_us <= k.start_us && k.end_us <= node.end_us,
+            "kernel {} ran outside its activation: {k:?} vs {node:?}",
+            k.kernel
+        );
+    }
+}
+
+#[test]
+fn failing_inline_kernel_is_structured_and_leaves_the_device_idle() {
+    let mut b = GraphBuilder::new();
+    let a = b.placeholder("a", DType::F32);
+    let bad = b.matmul(a, a).unwrap();
+    let graph = Arc::new(b.finish().unwrap());
+    let device = k40(1e-3);
+    let exec = executor_on(graph, device.clone(), 2);
+    let feed = |t: Tensor| HashMap::from([("a".to_string(), t)]);
+    let err = exec.run(&feed(Tensor::ones(&[2, 3])), &[bad]).unwrap_err();
+    match err {
+        crate::ExecError::Kernel { node, detail } => {
+            assert!(detail.contains("matmul"), "{detail}");
+            assert!(node.contains("MatMul") || node.contains("matmul"), "{node}");
+        }
+        other => panic!("expected a kernel error, got {other}"),
+    }
+    // The stream was released: the next short kernel runs inline, and a
+    // good run on the same executor succeeds and returns every charge.
+    let inline =
+        device.run_compute_inline(std::time::Duration::from_nanos(5), None, String::new, || ());
+    assert_eq!(inline, Some(()), "the failed kernel still holds the stream");
+    let out = exec.run(&feed(Tensor::ones(&[3, 3])), &[bad]).unwrap();
+    assert_eq!(out.values[0].as_f32_slice().unwrap(), &[3.0; 9]);
+    for _ in 0..200 {
+        if device.allocator().in_use() == 0 {
+            break;
+        }
+        std::thread::sleep(std::time::Duration::from_millis(5));
+    }
+    assert_eq!(device.allocator().in_use(), 0, "charges leaked");
+}
+
+#[test]
+fn concurrent_runs_on_four_workers_never_overlap_kernels_on_a_stream() {
+    // Shape scale 32 and time scale 0.01 make the loop's matmul model at
+    // ~5 µs (stream thread) and its elementwise ops under 1 µs (inline
+    // when the stream is idle). Three runs on four workers record into one
+    // collector; no two compute-stream kernels may overlap.
+    use dcf_device::{DeviceCollector, StepStatsCollector, TraceLevel};
+    let mut b = GraphBuilder::new();
+    let i0 = b.scalar_i64(0);
+    let x0 = b.constant(Tensor::ones(&[32, 32]));
+    let w = b.constant(Tensor::from_vec_f32(vec![1.0 / 32.0; 32 * 32], &[32, 32]).unwrap());
+    let lim = b.scalar_i64(20);
+    let outs = b
+        .while_loop(
+            &[i0, x0],
+            |g, v| g.less(v[0], lim),
+            |g, v| {
+                let one = g.scalar_i64(1);
+                let m = g.matmul(v[1], w)?;
+                let t = g.tanh(m)?;
+                let s = g.sigmoid(v[1])?;
+                Ok(vec![g.add(v[0], one)?, g.add(t, s)?])
+            },
+            WhileOptions { parallel_iterations: 4, ..WhileOptions::default() },
+        )
+        .unwrap();
+    let graph = Arc::new(b.finish().unwrap());
+    let profile = DeviceProfile::gpu_k40().with_shape_scale(32).with_time_scale(0.01);
+    let exec = executor_on(graph, Device::new(DeviceId(0), 0, profile), 4);
+    let expected = exec.run(&HashMap::new(), &[outs[1]]).unwrap().values;
+    let collector = Arc::new(StepStatsCollector::new(TraceLevel::Full));
+    collector.register_device("/machine:0/k40:0");
+    for _ in 0..5 {
+        let runs: Vec<_> = (0..3)
+            .map(|step| {
+                let config = crate::RunConfig {
+                    collector: Some(DeviceCollector::new(0, collector.clone())),
+                    step,
+                    ..crate::RunConfig::default()
+                };
+                exec.start(Arc::new(HashMap::new()), &[outs[1]], config)
+            })
+            .collect();
+        for run in runs {
+            assert!(run.wait().unwrap().values[0].value_eq(&expected[0]), "run diverged");
+        }
+    }
+    let stats = collector.finish();
+    let mut kernels: Vec<_> = stats.devices[0]
+        .kernel_stats
+        .iter()
+        .filter(|k| k.stream.ends_with("/compute"))
+        .map(|k| (k.start_us, k.end_us))
+        .collect();
+    // Per run: 20 iterations of a matmul, a tanh, a sigmoid, two adds and
+    // the loop's iteration counter (the comparison models as free).
+    assert_eq!(kernels.len(), 15 * 20 * 6, "one kernel per compute activation");
+    kernels.sort_unstable();
+    for pair in kernels.windows(2) {
+        assert!(pair[1].0 >= pair[0].1, "kernels overlap on one stream: {pair:?}");
+    }
 }

@@ -658,7 +658,7 @@ impl Session {
                     exec.start(feeds.clone(), &per_exec_fetches[idx], config)
                 })
                 .collect();
-            started.into_iter().map(|run| run.and_then(dcf_exec::RunHandle::wait)).collect()
+            started.into_iter().map(dcf_exec::RunHandle::wait).collect()
         };
         let results = std::panic::catch_unwind(std::panic::AssertUnwindSafe(run_all))
             .unwrap_or_else(|_| {

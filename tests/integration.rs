@@ -353,13 +353,14 @@ fn optimizer_grid_bit_identical_with_and_without() {
         let upd = g.assign_add(w, outs[1]).unwrap();
         (g.finish().unwrap(), vec![root_out, outs[1], upd])
     };
-    // A GPU-profile device (zero time scale keeps kernels synchronous and
-    // fast) so the memory-plan axis is exercised: CPU partitions never
-    // charge memory and are never planned.
-    let run = |c: &Case, opt: OptLevel, plan: MemPlan| -> Vec<Tensor> {
+    // A GPU-profile device, so the memory-plan axis is exercised: CPU
+    // partitions never charge memory and are never planned. Time scale 0
+    // keeps kernels synchronous; at 1e-3 they model under a microsecond
+    // and run inline on an idle stream; at 1 they take the stream thread.
+    let run = |c: &Case, opt: OptLevel, plan: MemPlan, time_scale: f64| -> Vec<Tensor> {
         let (graph, fetches) = build(c);
         let mut cluster = Cluster::new();
-        cluster.add_device(0, DeviceProfile::gpu_k40().with_time_scale(0.0));
+        cluster.add_device(0, DeviceProfile::gpu_k40().with_time_scale(time_scale));
         let sess = Session::new(
             graph,
             cluster,
@@ -375,21 +376,25 @@ fn optimizer_grid_bit_identical_with_and_without() {
     };
     for (i, c) in cases.iter().enumerate() {
         // Full sweep of the optimizer and memory-plan escape hatches
-        // (DCF_OPT=none / DCF_MEMPLAN=off equivalents): all four
-        // combinations must be bit-identical.
-        let baseline = run(c, OptLevel::None, MemPlan::Off);
-        for (opt, plan) in [
-            (OptLevel::Standard, MemPlan::On),
-            (OptLevel::Standard, MemPlan::Off),
-            (OptLevel::None, MemPlan::On),
-        ] {
-            let variant = run(c, opt, plan);
-            assert_eq!(variant.len(), baseline.len());
-            for (j, (a, b)) in variant.iter().zip(&baseline).enumerate() {
-                assert!(
-                    a.value_eq(b),
-                    "case {i} fetch {j} diverged under ({opt:?}, {plan:?}): {a:?} vs {b:?}"
-                );
+        // (DCF_OPT=none / DCF_MEMPLAN=off equivalents) at each time scale:
+        // every combination must be bit-identical to the synchronous run.
+        let baseline = run(c, OptLevel::None, MemPlan::Off, 0.0);
+        for time_scale in [0.0, 1e-3, 1.0] {
+            for (opt, plan) in [
+                (OptLevel::Standard, MemPlan::On),
+                (OptLevel::Standard, MemPlan::Off),
+                (OptLevel::None, MemPlan::On),
+                (OptLevel::None, MemPlan::Off),
+            ] {
+                let variant = run(c, opt, plan, time_scale);
+                assert_eq!(variant.len(), baseline.len());
+                for (j, (a, b)) in variant.iter().zip(&baseline).enumerate() {
+                    assert!(
+                        a.value_eq(b),
+                        "case {i} fetch {j} diverged under ({opt:?}, {plan:?}) at time scale \
+                         {time_scale}: {a:?} vs {b:?}"
+                    );
+                }
             }
         }
     }

@@ -44,17 +44,14 @@ fn drain(alloc: &dcf::device::TrackingAllocator) {
     }
 }
 
-/// A single-GPU cluster with synchronous (zero time-scale) kernels.
-fn gpu_cluster() -> Cluster {
-    let mut c = Cluster::new();
-    c.add_device(0, DeviceProfile::gpu_k40().with_time_scale(0.0));
-    c
-}
-
-fn gpu_session(graph: dcf::graph::Graph, opt: OptLevel, plan: MemPlan) -> Session {
+/// A session on one K40-profile GPU. A zero time scale makes kernels
+/// synchronous.
+fn gpu_session(graph: dcf::graph::Graph, opt: OptLevel, plan: MemPlan, time_scale: f64) -> Session {
+    let mut cluster = Cluster::new();
+    cluster.add_device(0, DeviceProfile::gpu_k40().with_time_scale(time_scale));
     Session::new(
         graph,
-        gpu_cluster(),
+        cluster,
         SessionOptions::functional().with_optimization(opt).with_memory_plan(plan),
     )
     .unwrap()
@@ -77,7 +74,7 @@ fn plan_reduces_allocs_and_never_increases_peak() {
     let mut results = Vec::new();
     for plan in [MemPlan::Off, MemPlan::On] {
         let (graph, fetches) = chain_graph(8);
-        let sess = gpu_session(graph, OptLevel::Standard, plan);
+        let sess = gpu_session(graph, OptLevel::Standard, plan, 0.0);
         for _ in 0..steps {
             sess.eval(&feed(), &fetches).unwrap();
             // Wait out executor teardown so one step's charges never
@@ -101,13 +98,13 @@ fn plan_reduces_allocs_and_never_increases_peak() {
 #[test]
 fn plan_stats_flow_into_optimize_stats() {
     let (graph, _) = chain_graph(6);
-    let sess = gpu_session(graph, OptLevel::Standard, MemPlan::On);
+    let sess = gpu_session(graph, OptLevel::Standard, MemPlan::On, 0.0);
     let stats = sess.optimize_stats().expect("Standard opt level records stats");
     assert!(stats.planned_bytes > 0, "stats: {stats:?}");
     assert!(stats.aliased_slots >= 1, "a 6-deep chain must alias: {stats:?}");
 
     let (graph, _) = chain_graph(6);
-    let sess = gpu_session(graph, OptLevel::Standard, MemPlan::Off);
+    let sess = gpu_session(graph, OptLevel::Standard, MemPlan::Off, 0.0);
     let stats = sess.optimize_stats().expect("Standard opt level records stats");
     assert_eq!(stats.planned_bytes, 0, "plan off must not plan: {stats:?}");
     assert_eq!(stats.aliased_slots, 0);
@@ -115,30 +112,86 @@ fn plan_stats_flow_into_optimize_stats() {
 
 #[test]
 fn results_bit_identical_across_plan_and_opt_levels() {
-    let run = |opt: OptLevel, plan: MemPlan| -> Vec<Tensor> {
+    // Time scale 0 runs every kernel synchronously; at 1e-3 the matmuls
+    // model under a microsecond and run inline on an idle stream; at 1
+    // they take the stream thread. All must match the synchronous run.
+    let run = |opt: OptLevel, plan: MemPlan, time_scale: f64| -> Vec<Tensor> {
         let (graph, fetches) = chain_graph(4);
-        let sess = gpu_session(graph, opt, plan);
+        let sess = gpu_session(graph, opt, plan, time_scale);
         // Fetch an intermediate and the final output.
         sess.eval(&feed(), &[fetches[1], fetches[3]]).unwrap()
     };
-    let baseline = run(OptLevel::None, MemPlan::Off);
-    for (opt, plan) in [
-        (OptLevel::Standard, MemPlan::On),
-        (OptLevel::Standard, MemPlan::Off),
-        (OptLevel::None, MemPlan::On),
-    ] {
-        let variant = run(opt, plan);
-        assert_eq!(variant.len(), baseline.len());
-        for (i, (a, b)) in variant.iter().zip(&baseline).enumerate() {
-            assert!(a.value_eq(b), "fetch {i} diverged under ({opt:?}, {plan:?})");
+    let baseline = run(OptLevel::None, MemPlan::Off, 0.0);
+    for time_scale in [0.0, 1e-3, 1.0] {
+        for (opt, plan) in [
+            (OptLevel::Standard, MemPlan::On),
+            (OptLevel::Standard, MemPlan::Off),
+            (OptLevel::None, MemPlan::On),
+            (OptLevel::None, MemPlan::Off),
+        ] {
+            let variant = run(opt, plan, time_scale);
+            assert_eq!(variant.len(), baseline.len());
+            for (i, (a, b)) in variant.iter().zip(&baseline).enumerate() {
+                assert!(
+                    a.value_eq(b),
+                    "fetch {i} diverged under ({opt:?}, {plan:?}) at time scale {time_scale}"
+                );
+            }
         }
+    }
+}
+
+#[test]
+fn region_over_capacity_falls_back_to_per_token_charges() {
+    // Figure 14's statically unrolled LSTM training step at sequence
+    // length 200 and modeled batch 128: its planned region is larger than
+    // the K40's 12 GiB, although the values live at any one time fit.
+    // With the plan on, the step must still run, on per-token charges,
+    // and match the unplanned step bit for bit.
+    const SCALE: usize = 32;
+    let run = |plan: MemPlan| -> (Vec<Tensor>, u64) {
+        let hidden = 512 / SCALE;
+        let batch = 128 / SCALE;
+        let mut g = GraphBuilder::new();
+        let mut rng = TensorRng::new(23);
+        let cell = dcf::ml::LstmCell::new(&mut g, "lstm", hidden, hidden, &mut rng);
+        let x = g.constant(rng.uniform(&[200, batch, hidden], -1.0, 1.0));
+        let h0 = g.constant(Tensor::zeros(DType::F32, &[batch, hidden]));
+        let c0 = g.constant(Tensor::zeros(DType::F32, &[batch, hidden]));
+        let rnn = dcf::ml::static_rnn(&mut g, &cell, x, h0, c0, 200).unwrap();
+        let sq = g.square(rnn.outputs).unwrap();
+        let loss = g.reduce_mean(sq).unwrap();
+        let grads = gradients(&mut g, loss, &cell.params()).unwrap();
+        let mut fetches = vec![loss];
+        fetches.extend(grads);
+        let mut cluster = Cluster::new();
+        cluster
+            .add_device(0, DeviceProfile::gpu_k40().with_shape_scale(SCALE).with_time_scale(0.0));
+        let sess = Session::new(
+            g.finish().unwrap(),
+            cluster,
+            // Pinned: only the standard level records `planned_bytes`.
+            SessionOptions::functional()
+                .with_optimization(OptLevel::Standard)
+                .with_memory_plan(plan),
+        )
+        .unwrap();
+        let planned = sess.optimize_stats().map_or(0, |s| s.planned_bytes);
+        (sess.eval(&HashMap::new(), &fetches).unwrap(), planned)
+    };
+    let (off, _) = run(MemPlan::Off);
+    let (on, planned) = run(MemPlan::On);
+    assert!(planned > 12 << 30, "the region must exceed capacity: {planned} B");
+    assert_eq!(on.len(), off.len());
+    for (i, (a, b)) in on.iter().zip(&off).enumerate() {
+        assert!(a.value_eq(b), "fetch {i} diverged with the plan on");
     }
 }
 
 #[test]
 fn concurrent_steps_each_acquire_their_own_region() {
     let (graph, fetches) = chain_graph(6);
-    let sess = Arc::new(gpu_session(graph, OptLevel::Standard, MemPlan::On));
+    let sess = Arc::new(gpu_session(graph, OptLevel::Standard, MemPlan::On, 0.0));
     let last = *fetches.last().unwrap();
 
     // Calibrate the deterministic per-step allocation count with one
